@@ -93,8 +93,9 @@ class BilateralCell:
     sample_cores: Optional[int] = None
     quantum: int = 256
     cpi_compute: float = 1.0
-    #: cache replay backend ("scalar" / "vector" / "auto"); bit-for-bit
-    #: equivalent, see :mod:`repro.memsim.cache`
+    #: simulation backend (see :class:`~repro.memsim.engine.SimulationEngine`):
+    #: "auto" prices LRU hierarchies from stack distances, "scalar" and
+    #: "vector" replay; all bit-for-bit equivalent
     backend: str = "auto"
 
     def with_layout(self, layout: str) -> "BilateralCell":
@@ -135,8 +136,9 @@ class VolrendCell:
     quantum: int = 256
     cpi_compute: float = 4.0
     early_termination: Optional[float] = None
-    #: cache replay backend ("scalar" / "vector" / "auto"); bit-for-bit
-    #: equivalent, see :mod:`repro.memsim.cache`
+    #: simulation backend (see :class:`~repro.memsim.engine.SimulationEngine`):
+    #: "auto" prices LRU hierarchies from stack distances, "scalar" and
+    #: "vector" replay; all bit-for-bit equivalent
     backend: str = "auto"
 
     def with_layout(self, layout: str) -> "VolrendCell":

@@ -27,7 +27,7 @@ from ..instrument import trace as _trace
 from ..instrument.manifest import config_hash
 from ..instrument.metrics import scaled_relative_difference
 from ..memsim.hierarchy import PlatformSpec
-from ..memsim.stackdist import HistogramStore, fully_associative_spec, stack_ineligibility
+from ..memsim.stackdist import HistogramStore, fully_associative_spec, prices_by_histogram
 from ..resilience import artifacts as _artifacts
 from ..resilience.checkpoint import CheckpointStore
 from ..resilience.policy import RetryPolicy
@@ -56,8 +56,10 @@ def _grid(axes: Dict[str, Sequence]) -> List[Dict[str, object]]:
 def _capacity_only_platforms(platforms: Sequence[object]) -> bool:
     """True when the platform axis varies only cache capacity.
 
-    Every platform must be stack-priceable (single-level fully-
-    associative LRU, no prefetcher/TLB) and they must agree on the
+    Every platform must be priced by histogram (a single fully-
+    associative LRU level, no prefetcher/TLB), so that one histogram
+    prices them all — hierarchies are priced one geometry at a time
+    and keep the worker pool — and they must agree on the
     core/socket/SMT/line geometry — the parts of a spec that trace
     preparation depends on — so that one prepared trace is valid for
     all of them.
@@ -66,7 +68,7 @@ def _capacity_only_platforms(platforms: Sequence[object]) -> bool:
         return False
     if not all(isinstance(p, PlatformSpec) for p in platforms):
         return False
-    if any(stack_ineligibility(p) is not None for p in platforms):
+    if not all(prices_by_histogram(p) for p in platforms):
         return False
     first = platforms[0]
     return all(

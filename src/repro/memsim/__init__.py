@@ -14,11 +14,13 @@ Public surface:
   :data:`~repro.memsim.platforms.BABBAGE_MIC` — the paper's platforms;
 * :class:`~repro.memsim.engine.SimulationEngine` — quantum-interleaved
   multi-thread simulation returning counters + cost-model runtime;
-* :mod:`~repro.memsim.stackdist` — single-pass stack-distance
-  histograms (:func:`stack_distance_histogram`,
-  :class:`StackDistanceHistogram`, :class:`HistogramStore`,
-  :func:`fully_associative_spec`) pricing every fully-associative LRU
-  capacity at once, behind ``SimulationEngine(backend="stack")``;
+* :mod:`~repro.memsim.stackdist` — stack-distance pricing of LRU
+  caches without replay: the exact W-way hit test :func:`lru_hits`,
+  with which the engine's default backend prices whole LRU
+  hierarchies, and single-pass histograms
+  (:func:`stack_distance_histogram`, :class:`StackDistanceHistogram`,
+  :class:`HistogramStore`, :func:`fully_associative_spec`) pricing
+  every fully-associative LRU capacity at once;
 * :class:`~repro.memsim.address.AddressSpace`,
   :class:`~repro.memsim.trace.TraceChunk` — trace plumbing.
 """
@@ -45,7 +47,9 @@ from .stackdist import (
     HistogramStore,
     StackDistanceHistogram,
     fully_associative_spec,
+    lru_hits,
     per_thread_histograms,
+    prices_by_histogram,
     stack_distance_histogram,
     stack_distances,
     stack_ineligibility,
@@ -86,7 +90,9 @@ __all__ = [
     "HistogramStore",
     "StackDistanceHistogram",
     "fully_associative_spec",
+    "lru_hits",
     "per_thread_histograms",
+    "prices_by_histogram",
     "stack_distance_histogram",
     "stack_distances",
     "stack_ineligibility",

@@ -12,7 +12,9 @@ emerges entirely from where the accesses were served.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, Sequence
+
+import numpy as np
 
 from .hierarchy import PlatformSpec, ServiceCounts
 
@@ -48,6 +50,27 @@ class CostModel:
         cycles += counts.mem * spec.mem_latency_cycles / spec.mem_parallelism
         cycles += counts.total * self.issue_cycles_per_access
         cycles += counts.tlb_misses * spec.tlb_miss_cycles
+        return cycles
+
+    def batch_access_cycles(self, served: Sequence[np.ndarray],
+                            mem: np.ndarray, tlb_misses: np.ndarray,
+                            spec: PlatformSpec) -> np.ndarray:
+        """:meth:`access_cycles` of many batches at once.
+
+        ``served`` holds one integer array per level of ``spec``, inner
+        to outer, of the requests each batch had served there; ``mem``
+        and ``tlb_misses`` are per batch as well.  Entry ``b`` equals
+        :meth:`access_cycles` of batch ``b`` bit for bit: the same
+        float operations in the same order.
+        """
+        cycles = np.zeros(mem.shape)
+        total = mem.copy()
+        for count, level in zip(served, spec.levels):
+            cycles += count * level.latency_cycles
+            total += count
+        cycles += mem * spec.mem_latency_cycles / spec.mem_parallelism
+        cycles += total * self.issue_cycles_per_access
+        cycles += tlb_misses * spec.tlb_miss_cycles
         return cycles
 
     def compute_cycles(self, n_ops: int) -> float:

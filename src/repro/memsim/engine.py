@@ -11,12 +11,17 @@ the quantum granularity.
 The result bundles the platform counters, per-level service totals, and
 the cost-model runtime, with optional extrapolation factors applied by
 the experiment harness when it simulated only a sample of the work.
+
+On LRU hierarchies a cold run need not be replayed at all: the engine
+reconstructs the stream every cache instance would receive and prices
+it from stack distances (:mod:`repro.memsim.stackdist`), with counters,
+per-level totals and cycles equal to the replayer's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,10 +29,20 @@ from ..instrument import trace as _trace
 from .cache import REPLAY_BACKENDS, CacheStats
 from .cost import CostModel
 from .hierarchy import Machine, PlatformSpec, ServiceCounts
-from .stackdist import HistogramStore, per_thread_histograms, stack_ineligibility, stream_key
+from .stackdist import (
+    HistogramStore,
+    lru_hits,
+    per_thread_histograms,
+    prices_by_histogram,
+    stack_ineligibility,
+    stream_key,
+)
 from .trace import TraceChunk
 
 __all__ = ["ThreadWork", "SimResult", "SimulationEngine"]
+
+#: why ``backend="auto"`` replays a run on a platform it could price
+_WARM_REASON = "reset=False continues the replayed cache contents"
 
 
 @dataclass
@@ -82,6 +97,107 @@ class SimResult:
         )
 
 
+@dataclass
+class _Batches:
+    """The replayer's round-robin schedule, one entry per batch.
+
+    Batches are in issue order: turn by turn, and within a turn in
+    thread-list order.  Batch ``b`` hands lines ``start[b]`` to
+    ``start[b] + count[b]`` of work ``work[b]``'s chunk to core
+    ``core[b]`` for thread ``tid[b]``, with ``credit[b]`` collapsed
+    hits (a thread's whole credit rides on its first batch, and a
+    thread with credit but no lines still takes one empty turn).
+    """
+
+    work: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+    credit: np.ndarray
+    core: np.ndarray
+    tid: np.ndarray
+
+    @classmethod
+    def round_robin(cls, works: Sequence[ThreadWork],
+                    quantum: int) -> "_Batches":
+        lens = np.array([w.chunk.lines.size for w in works], dtype=np.int64)
+        credit = np.array([w.chunk.collapsed_hits for w in works],
+                          dtype=np.int64)
+        turns = -(-lens // quantum)
+        turns[(lens == 0) & (credit > 0)] = 1
+        work = np.repeat(np.arange(len(works)), turns)
+        turn = np.arange(work.size) - np.repeat(np.cumsum(turns) - turns,
+                                                turns)
+        order = np.lexsort((work, turn))
+        work, turn = work[order], turn[order]
+        start = turn * quantum
+        return cls(
+            work=work, start=start,
+            count=np.minimum(lens[work] - start, quantum),
+            credit=np.where(turn == 0, credit[work], 0),
+            core=np.array([w.core for w in works], dtype=np.int64)[work],
+            tid=np.array([w.thread_id for w in works], dtype=np.int64)[work],
+        )
+
+    @property
+    def size(self) -> int:
+        """Number of batches."""
+        return int(self.work.size)
+
+    def core_stream(self, works: Sequence[ThreadWork],
+                    core: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``core``'s lines in arrival order, and each line's batch."""
+        sel = np.flatnonzero((self.core == core) & (self.count > 0))
+        counts = self.count[sel]
+        batch = np.repeat(sel.astype(np.int32), counts)
+        owners = np.unique(self.work[sel])
+        if owners.size == 1:  # one thread's batches are its chunk, in order
+            return np.asarray(works[owners[0]].chunk.lines,
+                              dtype=np.int64), batch
+        chunks = [np.asarray(works[i].chunk.lines, dtype=np.int64)
+                  for i in owners]
+        sizes = np.array([c.size for c in chunks], dtype=np.int64)
+        base = np.zeros(len(works), dtype=np.int64)
+        base[owners] = np.cumsum(sizes) - sizes
+        shift = base[self.work[sel]] + self.start[sel] \
+            - (np.cumsum(counts) - counts)
+        idx = np.repeat(shift, counts) + np.arange(int(counts.sum()))
+        return np.concatenate(chunks)[idx], batch
+
+
+def _merge(parts: List[Tuple[np.ndarray, np.ndarray]], n_batches: int):
+    """One instance's arrivals: its cores' streams merged in issue order.
+
+    Batch ids grow with issue order, a batch's lines arrive back to
+    back and each batch belongs to one core, so a counting sort on the
+    batch id is the replayer's order.  Parts are freed as they land.
+    """
+    if len(parts) == 1:
+        return parts.pop()
+    sizes = sum(np.bincount(batch, minlength=n_batches) for _, batch in parts)
+    first = np.cumsum(sizes) - sizes  # where each batch starts, merged
+    total = int(sizes.sum())
+    lines = np.empty(total, dtype=np.int64)
+    batch = np.empty(total, dtype=np.int32)
+    while parts:
+        part_lines, part_batch = parts.pop()
+        # a line's slot: its batch's start plus its rank in the batch
+        at = first[part_batch] + (np.arange(part_batch.size)
+                                  - np.searchsorted(part_batch, part_batch))
+        lines[at] = part_lines
+        batch[at] = part_batch
+    return lines, batch
+
+
+def _add_stats(stats: CacheStats, hit: np.ndarray, fills: int) -> None:
+    """Fold one priced stream into an instance's counters."""
+    n_hit = int(np.count_nonzero(hit))
+    n_miss = hit.size - n_hit
+    stats.accesses += hit.size
+    stats.hits += n_hit
+    stats.misses += n_miss
+    stats.evictions += n_miss - fills
+
+
 class SimulationEngine:
     """Interleaves per-thread traces through a machine model.
 
@@ -96,16 +212,22 @@ class SimulationEngine:
         finer-grained concurrency (more cross-thread interference);
         256 lines ≈ 16 KB of traffic per turn.
     backend : str
-        Cache replay backend.  ``"scalar"``, ``"vector"``, and ``"auto"``
-        are forwarded to every :class:`~repro.memsim.cache.Cache` and are
-        bit-for-bit equivalent (see :mod:`repro.memsim.cache`).
-        ``"stack"`` prices miss counts from a single stack-distance pass
-        (:mod:`repro.memsim.stackdist`) — exact for a single-level
-        fully-associative LRU platform, and automatically falling back to
-        the replayer on any other configuration
-        (:attr:`stack_fallback_reason` says why).
+        How runs are simulated.  ``"auto"`` (the default) prices every
+        cold run on an eligible platform — any non-inclusive hierarchy
+        of LRU caches and TLB, without prefetchers — from stack
+        distances (:mod:`repro.memsim.stackdist`): counters, per-level
+        totals and cycles equal the replayer's bit for bit.  It replays
+        ineligible platforms and ``reset=False`` runs, recording why in
+        the ``engine.replay`` span's ``fallback`` attribute.
+        ``"stack"`` prices the same platforms, replays the rest, and
+        refuses ``reset=False``.  ``"scalar"`` and ``"vector"`` always
+        replay, with that :class:`~repro.memsim.cache.Cache` backend;
+        they are the oracle the pricing is tested against.  Single-level
+        fully-associative platforms are priced from per-thread
+        histograms, exact in counts, with cycles summed per thread (equal
+        to the replayer's up to float rounding).
     histogram_store : HistogramStore, optional
-        Where the stack backend caches per-stream histograms.  Pass a
+        Where histogram pricing caches per-stream histograms.  Pass a
         shared (optionally durable) store so capacity sweeps re-price
         geometries without recomputing; defaults to a private in-memory
         store.
@@ -125,44 +247,63 @@ class SimulationEngine:
         self.cost = cost or CostModel()
         self.quantum = quantum
         self.backend = backend
-        #: why ``backend="stack"`` falls back to the replayer on this
-        #: platform (None when stack pricing is exact and active)
+        #: why ``backend="auto"``/``"stack"`` replays this platform
+        #: (None when it prices, and for the replay-only backends)
         self.stack_fallback_reason: Optional[str] = (
-            stack_ineligibility(spec) if backend == "stack" else None
+            stack_ineligibility(spec) if backend in ("auto", "stack")
+            else None
         )
         self.histogram_store = histogram_store or HistogramStore()
-        # the stack path keeps a replay-capable machine around both for
-        # counter wiring and as the fallback engine
+        # priced runs keep the machine too: it wires the counters and
+        # holds every instance's stats
         machine_backend = "auto" if backend == "stack" else backend
         self.machine = Machine(spec, seed=seed, backend=machine_backend)
+        #: what the last run left in the machine: None (nothing yet),
+        #: "replayed" (cache contents) or "priced" (only stats)
+        self._last_run: Optional[str] = None
 
     @property
     def uses_stack(self) -> bool:
-        """True when runs are priced from stack distances, not replayed."""
-        return self.backend == "stack" and self.stack_fallback_reason is None
+        """True when cold runs are priced from stack distances."""
+        return (self.backend in ("auto", "stack")
+                and self.stack_fallback_reason is None)
 
     def run(self, works: List[ThreadWork], reset: bool = True) -> SimResult:
-        """Simulate all thread streams to completion and account costs."""
-        if self.uses_stack:
-            if not reset:
-                raise ValueError(
-                    "backend='stack' prices each run from a cold cache and "
-                    "cannot continue warm state; use reset=True or a replay "
-                    "backend"
-                )
-            return self._run_stack(works)
-        if reset:
-            self.machine.reset()
+        """Simulate all thread streams to completion and account costs.
+
+        ``reset=False`` continues from the caches' current contents,
+        which only replay has: it raises after a priced run (which
+        leaves the caches empty) and where ``backend="stack"`` prices.
+        """
         for w in works:
             if not 0 <= w.core < self.spec.n_cores:
                 raise ValueError(
                     f"thread {w.thread_id} bound to core {w.core}, but platform "
                     f"{self.spec.name} has {self.spec.n_cores} cores"
                 )
+        if self.uses_stack:
+            if reset:
+                return self._run_priced(works)
+            if self.backend == "stack" or self._last_run == "priced":
+                raise ValueError(
+                    "stack pricing starts every run from cold caches and "
+                    "cannot continue warm state; use reset=True or a "
+                    "replay backend"
+                )
+        return self._run_replay(works, reset)
+
+    def _run_replay(self, works: List[ThreadWork], reset: bool) -> SimResult:
+        if reset:
+            self.machine.reset()
+        self._last_run = "replayed"
+        fallback = self.stack_fallback_reason or (
+            _WARM_REASON if self.uses_stack else None)
+        attrs = {"fallback": fallback} if fallback else {}
         cycles: Dict[int, float] = {w.thread_id: 0.0 for w in works}
         served_total = ServiceCounts()
         with _trace.span("engine.replay", platform=self.spec.name,
-                         threads=len(works), quantum=self.quantum) as sp:
+                         threads=len(works), quantum=self.quantum,
+                         **attrs) as sp:
             positions = [0] * len(works)
             pre_credit = [w.chunk.collapsed_hits for w in works]
             active = [w.chunk.lines.size > 0 or pre_credit[i] > 0
@@ -186,14 +327,18 @@ class SimulationEngine:
                         active[idx] = False
             sp.add("lines", sum(w.chunk.lines.size for w in works))
             sp.add("accesses", sum(w.chunk.n_accesses for w in works))
+        level_served = {k: float(v) for k, v in served_total.per_level.items()}
+        level_served["MEM"] = float(served_total.mem)
+        return self._finish(works, cycles, level_served)
+
+    def _finish(self, works: List[ThreadWork], cycles: Dict[int, float],
+                level_served: Dict[str, float]) -> SimResult:
+        """Add compute cycles and assemble the result."""
         with _trace.span("engine.cost") as sp:
             for w in works:
                 cycles[w.thread_id] += self.cost.compute_cycles(w.chunk.n_ops)
             runtime = self.cost.seconds(max(cycles.values(), default=0.0),
                                         self.spec)
-            level_served = {k: float(v)
-                            for k, v in served_total.per_level.items()}
-            level_served["MEM"] = float(served_total.mem)
             result = SimResult(
                 counters={k: float(v)
                           for k, v in self.machine.all_counters().items()},
@@ -207,126 +352,185 @@ class SimulationEngine:
 
     # -- stack-distance pricing ----------------------------------------------
 
-    def _instance_streams(self, works: List[ThreadWork]):
-        """Interleave the thread streams exactly as :meth:`run` would.
+    def _run_priced(self, works: List[ThreadWork]) -> SimResult:
+        """Price a cold run instead of replaying it.
 
-        Replays the round-robin quantum schedule without touching any
-        cache, yielding per cache instance the (lines, thread_ids)
-        arrays in machine arrival order, plus the pre-collapsed-hit
-        credit per (instance, thread).  The interleave order is what
-        makes a shared instance shared, so it must match the replayer's
-        bit for bit.
+        The machine's caches stay empty; every instance's stats are
+        seeded, so counters and ``level_stats`` read as after replay.
         """
-        batches: Dict[int, List[np.ndarray]] = {}
-        batch_tids: Dict[int, List[np.ndarray]] = {}
-        credits: Dict[int, Dict[int, int]] = {}
-        keys = [self.machine.instance_key(0, w.core) for w in works]
-        for key, w in zip(keys, works):
-            credits.setdefault(key, {})
-            credits[key][w.thread_id] = (credits[key].get(w.thread_id, 0)
-                                         + w.chunk.collapsed_hits)
-        positions = [0] * len(works)
-        active = [w.chunk.lines.size > 0 for w in works]
-        q = self.quantum
-        while any(active):
-            for idx, w in enumerate(works):
-                if not active[idx]:
-                    continue
-                pos = positions[idx]
-                batch = w.chunk.lines[pos:pos + q]
-                positions[idx] = pos + batch.size
-                key = keys[idx]
-                batches.setdefault(key, []).append(batch)
-                batch_tids.setdefault(key, []).append(
-                    np.full(batch.size, w.thread_id, dtype=np.int64))
-                if positions[idx] >= w.chunk.lines.size:
-                    active[idx] = False
-        streams = {}
-        for key in credits:
-            if key in batches:
-                lines = np.concatenate(batches[key])
-                tids = np.concatenate(batch_tids[key])
-            else:
-                lines = np.empty(0, dtype=np.int64)
-                tids = np.empty(0, dtype=np.int64)
-            streams[key] = (lines, tids, credits[key])
-        return streams
-
-    def _run_stack(self, works: List[ThreadWork]) -> SimResult:
-        """Price the run from per-stream stack-distance histograms.
-
-        Miss counts are bit-for-bit those of the replayer on this
-        (single-level fully-associative LRU) platform; the runtime is
-        the same linear cost model evaluated on whole-thread totals, so
-        it matches the replayer's per-quantum accumulation up to float
-        rounding.
-        """
-        self.machine.reset()
-        for w in works:
-            if not 0 <= w.core < self.spec.n_cores:
-                raise ValueError(
-                    f"thread {w.thread_id} bound to core {w.core}, but platform "
-                    f"{self.spec.name} has {self.spec.n_cores} cores"
-                )
-        level = self.spec.levels[0]
-        level_name = level.cache.name
-        capacity_lines = level.cache.capacity_bytes // level.cache.line_bytes
-        cycles: Dict[int, float] = {w.thread_id: 0.0 for w in works}
-        total_hits = 0
-        total_misses = 0
-        store_hits_before = self.histogram_store.hits
+        if self._last_run is not None:
+            self.machine.reset()
+        self._last_run = "priced"
         with _trace.span("engine.replay", platform=self.spec.name,
                          threads=len(works), quantum=self.quantum,
                          backend="stack") as sp:
-            streams = self._instance_streams(works)
-            instances = self.machine.level_instances(0)
-            for key, (lines, tids, credit_by_tid) in streams.items():
+            batches = _Batches.round_robin(works, self.quantum)
+            if prices_by_histogram(self.spec):
+                cycles, totals = self._price_histograms(works, batches, sp)
+            else:
+                cycles, totals = self._price_levels(works, batches)
+            sp.add("lines", sum(w.chunk.lines.size for w in works))
+            sp.add("accesses", sum(w.chunk.n_accesses for w in works))
+        # replay names the levels only once some batch has run
+        level_served = ({k: float(v) for k, v in totals.items()}
+                        if batches.size else {"MEM": 0.0})
+        return self._finish(works, cycles, level_served)
+
+    def _core_stream(self, works: List[ThreadWork], batches: _Batches,
+                     core: int, tlb_misses: np.ndarray):
+        """``core``'s arrivals, after pricing them through its TLB."""
+        lines, batch = batches.core_stream(works, core)
+        tlb = self.machine.tlb_instances().get(core)
+        if tlb is not None:
+            pages = lines // (tlb.config.line_bytes // self.spec.line_bytes)
+            hit, fills = lru_hits(pages, tlb.config.n_sets, tlb.config.ways)
+            _add_stats(tlb.stats, hit, fills)
+            tlb_misses += np.bincount(batch[~hit], minlength=batches.size)
+        return lines, batch
+
+    def _price_levels(self, works: List[ThreadWork], batches: _Batches):
+        """Price a non-inclusive LRU hierarchy level by level.
+
+        One core at a time, the core's threads, merged in issue order,
+        feed its TLB (as pages) and then its private levels, each level
+        getting the misses of the one inside it.  Every instance of a
+        shared level then gets the misses of the cores it serves,
+        merged in issue order — exactly what it would see under replay.
+        Each batch's service counts go through the cost model's own
+        arithmetic and are summed per thread in issue order, so cycles
+        match replay bit for bit as well.
+        """
+        spec, machine = self.spec, self.machine
+        levels = spec.levels
+        n = batches.size
+        # requests served per batch by each level, memory last
+        served = [np.zeros(n, dtype=np.int64) for _ in range(len(levels) + 1)]
+        served[0] += batches.credit
+        tlb_misses = np.zeros(n, dtype=np.int64)
+        for w in works:  # collapsed repeats are L1 hits, never priced
+            stats = machine.level_instances(0)[
+                machine.instance_key(0, w.core)].stats
+            stats.accesses += w.chunk.collapsed_hits
+            stats.hits += w.chunk.collapsed_hits
+
+        def price(li, key, stream):
+            lines, batch = stream
+            hit, fills = lru_hits(lines, levels[li].cache.n_sets,
+                                  levels[li].cache.ways)
+            _add_stats(machine.level_instances(li)[key].stats, hit, fills)
+            served[li] += np.bincount(batch[hit], minlength=n)
+            lines, batch = lines[~hit], batch[~hit]
+            if li == len(levels) - 1:
+                served[-1] += np.bincount(batch, minlength=n)
+            return lines, batch
+
+        private = 0
+        while private < len(levels) and levels[private].scope == "core":
+            private += 1
+        # every instance serves cores of a single instance of the
+        # broadest level, so each such cluster of cores is priced on its
+        # own: only its cores' miss streams are ever held at once
+        breadth = ("core", "socket", "machine").index
+        widest = max(range(len(levels)),
+                     key=lambda li: breadth(levels[li].scope))
+        clusters: Dict[int, List[int]] = {}
+        for core in np.unique(batches.core[batches.count > 0]).tolist():
+            clusters.setdefault(machine.instance_key(widest, core),
+                                []).append(core)
+        for cores in clusters.values():
+            pending: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+            for core in cores:
+                stream = self._core_stream(works, batches, core, tlb_misses)
+                for li in range(private):
+                    stream = price(li, core, stream)
+                pending[core] = stream
+            for li in range(private, len(levels)):
+                groups: Dict[int, List[int]] = {}
+                for core in cores:
+                    groups.setdefault(machine.instance_key(li, core),
+                                      []).append(core)
+                for key, members in groups.items():
+                    lines, batch = price(li, key, _merge(
+                        [pending.pop(core) for core in members], n))
+                    if len(members) == 1:
+                        pending[members[0]] = (lines, batch)
+                    elif li < len(levels) - 1:
+                        owner = batches.core[batch]
+                        for core in members:
+                            mine = owner == core
+                            pending[core] = (lines[mine], batch[mine])
+        per_batch = self.cost.batch_access_cycles(
+            served[:-1], served[-1], tlb_misses, spec)
+        cycles = {w.thread_id: 0.0 for w in works}
+        for tid in cycles:
+            mine = per_batch[batches.tid == tid]
+            if mine.size:  # a running sum: replay's order of additions
+                cycles[tid] = float(np.cumsum(mine)[-1])
+        totals = {level.cache.name: int(s.sum())
+                  for level, s in zip(levels, served)}
+        totals["MEM"] = int(served[-1].sum())
+        return cycles, totals
+
+    def _price_histograms(self, works: List[ThreadWork], batches: _Batches,
+                          sp) -> Tuple[Dict[int, float], Dict[str, int]]:
+        """Price a single fully-associative LRU level from histograms.
+
+        Each instance's stream gets per-thread stack-distance histograms
+        (cached in :attr:`histogram_store`, so other capacities re-price
+        without recomputing).  Counts are exact; cycles come from
+        whole-thread totals, equal to replay's per-batch sums up to
+        float rounding.
+        """
+        level = self.spec.levels[0].cache
+        capacity_lines = level.n_lines
+        instances = self.machine.level_instances(0)
+        groups: Dict[int, List[ThreadWork]] = {}
+        for w in works:
+            groups.setdefault(self.machine.instance_key(0, w.core),
+                              []).append(w)
+        cycles: Dict[int, float] = {w.thread_id: 0.0 for w in works}
+        totals = {level.name: 0, "MEM": 0}
+        store_hits_before = self.histogram_store.hits
+        for key, members in groups.items():
+            credit_by_tid: Dict[int, int] = {}
+            for w in members:
+                credit_by_tid[w.thread_id] = (credit_by_tid.get(w.thread_id, 0)
+                                              + w.chunk.collapsed_hits)
+            cores = sorted({w.core for w in members if w.chunk.lines.size})
+            hists = {}
+            if cores:
+                lines, batch = _merge([batches.core_stream(works, c)
+                                       for c in cores], batches.size)
+                tids = batches.tid[batch]
                 hists = self.histogram_store.get_or_compute(
                     stream_key(lines, tids),
                     lambda lines=lines, tids=tids:
                         per_thread_histograms(lines, tids))
-                inst_hits = 0
-                inst_misses = 0
-                inst_cold = 0
-                for tid, credit in credit_by_tid.items():
-                    hist = hists.get(tid)
-                    if hist is not None:
-                        t_hits = hist.hits(capacity_lines)
-                        t_misses = hist.misses(capacity_lines)
-                        inst_cold += hist.cold
-                    else:  # thread contributed only collapsed hits
-                        t_hits = t_misses = 0
-                    counts = ServiceCounts(
-                        per_level={level_name: t_hits + credit},
-                        mem=t_misses)
-                    cycles[tid] += self.cost.access_cycles(counts, self.spec)
-                    inst_hits += t_hits + credit
-                    inst_misses += t_misses
-                instances[key].stats = CacheStats(
-                    accesses=inst_hits + inst_misses,
-                    hits=inst_hits,
-                    misses=inst_misses,
-                    evictions=inst_misses - min(inst_cold, capacity_lines),
-                )
-                total_hits += inst_hits
-                total_misses += inst_misses
-            sp.add("lines", sum(w.chunk.lines.size for w in works))
-            sp.add("accesses", sum(w.chunk.n_accesses for w in works))
-            sp.add("histogram_cache_hits",
-                   self.histogram_store.hits - store_hits_before)
-        with _trace.span("engine.cost") as sp:
-            for w in works:
-                cycles[w.thread_id] += self.cost.compute_cycles(w.chunk.n_ops)
-            runtime = self.cost.seconds(max(cycles.values(), default=0.0),
-                                        self.spec)
-            result = SimResult(
-                counters={k: float(v)
-                          for k, v in self.machine.all_counters().items()},
-                level_served={level_name: float(total_hits),
-                              "MEM": float(total_misses)},
-                runtime_seconds=runtime,
-                per_thread_cycles=cycles,
-                n_accesses=sum(w.chunk.n_accesses for w in works),
+            inst_hits = 0
+            inst_misses = 0
+            inst_cold = 0
+            for tid, credit in credit_by_tid.items():
+                hist = hists.get(tid)
+                if hist is not None:
+                    t_hits = hist.hits(capacity_lines)
+                    t_misses = hist.misses(capacity_lines)
+                    inst_cold += hist.cold
+                else:  # thread contributed only collapsed hits
+                    t_hits = t_misses = 0
+                counts = ServiceCounts(
+                    per_level={level.name: t_hits + credit},
+                    mem=t_misses)
+                cycles[tid] += self.cost.access_cycles(counts, self.spec)
+                inst_hits += t_hits + credit
+                inst_misses += t_misses
+            instances[key].stats = CacheStats(
+                accesses=inst_hits + inst_misses,
+                hits=inst_hits,
+                misses=inst_misses,
+                evictions=inst_misses - min(inst_cold, capacity_lines),
             )
-            sp.add("mem_lines", float(total_misses))
-        return result
+            totals[level.name] += inst_hits
+            totals["MEM"] += inst_misses
+        sp.add("histogram_cache_hits",
+               self.histogram_store.hits - store_hits_before)
+        return cycles, totals

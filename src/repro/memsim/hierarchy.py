@@ -232,6 +232,10 @@ class Machine:
         """The instance map of one level (instance key → cache)."""
         return self._caches[level_index]
 
+    def tlb_instances(self) -> Dict[int, Cache]:
+        """The per-core TLBs (core → cache); empty without a TLB."""
+        return self._tlbs or {}
+
     def _instance_for(self, level_index: int, core: int) -> Cache:
         return self._caches[level_index][self.instance_key(level_index, core)]
 

@@ -1,14 +1,19 @@
-"""Single-pass stack-distance (Mattson) replay backend.
+"""Stack-distance (Mattson) pricing: LRU caches without replaying them.
 
-The replay backends in :mod:`repro.memsim.cache` re-walk the whole
-address stream once per cache geometry.  For a *fully-associative LRU*
-cache that is wasted work: an access hits a capacity-``C`` cache iff
-its stack distance — the number of distinct lines touched since the
-previous access to the same line — is ``< C``, so one pass computing
-the stack-distance histogram prices **every** capacity at once
-(Mattson et al., 1970).  This module is that pass, fully vectorized,
-plus the plumbing that lets sweeps reuse a histogram across geometries
-without touching the trace again.
+The replay backends in :mod:`repro.memsim.cache` walk the address
+stream access by access.  LRU needs no walk: an access hits a ``W``-way
+LRU set iff fewer than ``W`` distinct lines of its set were touched
+since its previous access (Mattson et al., 1970).  This module prices
+LRU caches from that rule in whole-array numpy passes, two ways:
+
+* **histograms** — for a *fully-associative* cache, one pass computing
+  every access's stack distance prices **every** capacity at once, and
+  a :class:`HistogramStore` lets sweeps reuse it across geometries
+  without touching the trace again;
+* **the W-bounded hit test** (:func:`lru_hits`) — for one set-associative
+  geometry, decides each access against its own set's ``W`` only, which
+  is far cheaper than full distances; the engine prices whole
+  hierarchies with it, level by level.
 
 Algorithm
 ---------
@@ -31,19 +36,54 @@ of which vectorize cleanly:
    sorted runs per row, which the stable sort merges in linear time)
    plus O(n) rank arithmetic.  No per-access Python anywhere.
 
+The W-bounded hit test
+----------------------
+:func:`lru_hits` sorts the stream by set (stable, so each set keeps its
+time order) and links every access to its line's previous occurrence,
+which necessarily lies in the same set.  With ``gap`` the number of
+same-set accesses between the two, an access is settled by the first
+rule that applies:
+
+1. a first touch misses;
+2. ``gap < W`` hits — fewer than ``W`` accesses cannot hold ``W``
+   distinct lines;
+3. if the ``W`` accesses just before it are ``W`` distinct lines (a
+   sliding minimum of next-occurrence positions says so) it misses;
+4. otherwise a block scan walks back from the access, counting
+   positions whose line does not recur before it — each is a distinct
+   line of the window — until it has seen ``W`` of them (a miss) or
+   covered the whole gap (a hit).  Blocks double in width, and rows
+   are scanned in slabs of bounded size, so the scan's memory stays
+   flat however deep a window is.
+
+Back-to-back repeats (hits that change nothing) are dropped first.
+On the paper's figure cells rules 1–3 settle ~96% of the accesses
+that reach a cache or TLB, leaving ~4% to the scan.  A line that is
+never evicted is never re-filled, so a cold LRU set's fills into empty
+ways number ``min(distinct lines, W)``; every other miss evicts.
+
 Validity domain
 ---------------
-Histogram pricing is exact for a **single fully-associative LRU cache
-fed the raw stream** — and for nothing else.  In particular it does
-*not* extend to multi-level hierarchies the way our
-:class:`~repro.memsim.hierarchy.Machine` wires them (each outer level
-sees only the inner level's misses): the filtered stream scrambles
-recency.  Counterexample: stream ``x y x z w x`` through L1=2,
-L2=3 lines — the final ``x`` has global stack distance 2 (< 3, so
-histogram pricing predicts an L2 hit) but L2, which saw only
-``x y z w``, evicted ``x`` on ``w`` and actually misses.
-:func:`stack_ineligibility` encodes the exact domain; the engine falls
-back to the vectorized replayer outside it.
+Both ways price an LRU cache **from the stream that reaches it**.  A
+histogram of the raw stream therefore prices a single-level machine
+only: an outer level sees the inner level's misses, and that filtered
+stream scrambles recency.  Counterexample: stream ``x y x z w x``
+through L1=2, L2=3 lines — the final ``x`` has raw stack distance 2
+(< 3, so the raw histogram predicts an L2 hit) but L2, which saw only
+``x y z w``, evicted ``x`` on ``w`` and actually misses.  The engine
+therefore prices hierarchies level by level: each level's instances
+run :func:`lru_hits` on exactly the accesses the levels inside them
+missed, in the order the replayer would deliver them, and the TLB is
+one more LRU level over the page stream.  That is exact for every
+non-inclusive hierarchy of LRU caches and TLB.  Three things still
+replay, and :func:`stack_ineligibility` names them: other replacement
+policies (their hits do not follow the distinct-line rule), stream
+prefetchers (they install lines outside the demand stream), and an
+inclusive LLC (its evictions invalidate inner levels, so an inner
+level's stream depends on the level outside it).  Single-level
+fully-associative platforms stay on histograms
+(:func:`prices_by_histogram`), which price a whole capacity sweep from
+one pass.
 """
 
 from __future__ import annotations
@@ -66,7 +106,9 @@ __all__ = [
     "stack_distances",
     "stack_distance_histogram",
     "per_thread_histograms",
+    "lru_hits",
     "stack_ineligibility",
+    "prices_by_histogram",
     "fully_associative_spec",
     "HistogramStore",
     "stream_key",
@@ -81,6 +123,13 @@ _HISTOGRAM_SCHEMA_VERSION = 1
 
 #: artifact-kind tag for sidecar integrity records
 _ARTIFACT_KIND = "stack-histogram"
+
+#: most (rows x columns) cells one block-scan slab of :func:`lru_hits`
+#: holds, which bounds the scan's temporaries whatever the stream
+_SCAN_SLAB = 1 << 16
+
+#: :func:`lru_hits` prices longer streams a group of sets at a time
+_GROUP_LINES = 1 << 15
 
 
 def _as_line_array(lines) -> np.ndarray:
@@ -311,36 +360,211 @@ def per_thread_histograms(lines, thread_ids) -> Dict[int, StackDistanceHistogram
     return out
 
 
+# -- set-associative LRU: the W-bounded hit test ---------------------------------
+
+
+def _drop_repeats(lines: np.ndarray, src: np.ndarray):
+    """Drop accesses equal to their predecessor (``src`` rides along).
+
+    Back to back in one set, a repeat re-touches the MRU line: a hit
+    that changes no LRU state, so the rest of the stream prices the
+    same without it.
+    """
+    keep = np.empty(lines.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(lines[1:], lines[:-1], out=keep[1:])
+    return lines[keep], src[keep]
+
+
+def _window_min(values: np.ndarray, width: int) -> np.ndarray:
+    """``out[i] = min(values[i - width + 1 .. i])`` (shorter at the head).
+
+    Doubling spans, then one overlapping step for a ``width`` that is
+    not a power of two: ``log2(width)`` passes, no ``(n, width)``
+    matrix.  (Overlapping ufunc operands compute as if copied first.)
+    """
+    out = values.copy()
+    span = 1
+    while 2 * span <= width:
+        np.minimum(out[span:], out[:-span], out=out[span:])
+        span *= 2
+    if span < width:
+        rest = width - span
+        np.minimum(out[rest:], out[:-rest], out=out[rest:])
+    return out
+
+
+def _deep_hits(nxt: np.ndarray, rows: np.ndarray, gaps: np.ndarray,
+               ways: int) -> np.ndarray:
+    """The rows (set-sorted positions) of rule 4 that hit.
+
+    Walking back from access ``t``, position ``t - k`` is the last
+    access to its line before ``t`` iff ``nxt[t - k] >= t``, so
+    counting such positions over ``k = 1, 2, ...`` counts the distinct
+    lines of the window.  A row misses once it has counted ``ways`` of
+    them and hits once its whole gap shows fewer.  Columns come in
+    blocks that double in width; rows are scanned in slabs of at most
+    :data:`_SCAN_SLAB` cells.
+    """
+    hit_rows = [rows[:0]]
+    seen = np.zeros(rows.size, dtype=rows.dtype)
+    alive = np.arange(rows.size, dtype=rows.dtype)
+    # rule 3 saw a repeat among the first ``ways`` columns, so a block
+    # that narrow could only settle rows whose gap it exactly covers
+    first, width = 1, 2 * ways
+    while alive.size:
+        step = max(1, _SCAN_SLAB // width)
+        cols = np.arange(first, first + width, dtype=rows.dtype)
+        survivors = []
+        for a in range(0, alive.size, step):
+            ids = alive[a:a + step]
+            t = rows[ids]
+            g = gaps[ids]
+            back = t[:, None] - cols
+            np.maximum(back, 0, out=back)  # masked columns past the gap
+            fresh = (nxt[back] >= t[:, None]) & (cols <= g[:, None])
+            count = seen[ids] + fresh.sum(axis=1)
+            seen[ids] = count
+            missed = count >= ways
+            covered = ~missed & (g < first + width)
+            hit_rows.append(t[covered])
+            survivors.append(ids[~missed & ~covered])
+        alive = np.concatenate(survivors)
+        first += width
+        width = min(2 * width, _SCAN_SLAB)
+    return np.concatenate(hit_rows)
+
+
+def lru_hits(lines, n_sets: int, ways: int) -> Tuple[np.ndarray, int]:
+    """Exact hit flags of a cold ``n_sets`` x ``ways`` LRU cache.
+
+    ``lines`` is the stream in arrival order; a line maps to set
+    ``line & (n_sets - 1)``, as in :class:`~repro.memsim.cache.Cache`.
+    Returns ``(hits, fills)``: ``hits[i]`` says whether access ``i``
+    hits, and ``fills`` is the number of misses that land in an empty
+    way — the sum over sets of ``min(distinct lines, ways)`` — so the
+    cache evicts ``misses - fills`` lines.  Bit for bit what
+    ``Cache.access_lines`` reports on a fresh cache; the module
+    docstring gives the rules.  Sets are independent, so a long stream
+    is priced in groups of sets of about :data:`_GROUP_LINES` accesses
+    each, which bounds the temporaries.
+    """
+    arr = _as_line_array(lines)
+    if n_sets <= 0 or n_sets & (n_sets - 1):
+        raise ValueError(f"n_sets must be a power of two, got {n_sets}")
+    if ways <= 0:
+        raise ValueError(f"ways must be positive, got {ways}")
+    n_groups = 1
+    while n_groups < n_sets and arr.size > n_groups * _GROUP_LINES:
+        n_groups *= 2
+    if n_groups == 1:
+        return _set_hits(arr, n_sets, ways)
+    hits = np.empty(arr.size, dtype=bool)
+    fills = 0
+    group = arr.astype(np.uint32) & (n_groups - 1)
+    for g in range(n_groups):
+        idx = np.flatnonzero(group == g)
+        hits[idx], group_fills = _set_hits(arr[idx], n_sets, ways)
+        fills += group_fills
+    return hits, fills
+
+
+def _set_hits(arr: np.ndarray, n_sets: int,
+              ways: int) -> Tuple[np.ndarray, int]:
+    """:func:`lru_hits` on one validated stream, all sets at once."""
+    hits = np.ones(arr.size, dtype=bool)
+    if arr.size == 0:
+        return hits, 0
+    # 32-bit positions, keys as narrow as the lines' span allows (narrow
+    # keys also take numpy's radix sort) and freeing what is done with
+    # keep the temporaries to a few dozen bytes per access
+    pos = np.int32 if arr.size < np.iinfo(np.int32).max else np.int64
+    mask = n_sets - 1
+    low = int(arr.min())
+    span = int(arr.max()) - low
+    key = (arr - low).astype(np.uint16 if span < 1 << 16 else
+                             np.uint32 if span < 1 << 32 else np.int64)
+    key, src = _drop_repeats(key, np.arange(arr.size, dtype=pos))
+    if n_sets > 1:
+        sets = arr[src] & mask
+        order = np.argsort(sets.astype(np.uint8) if n_sets <= 1 << 8 else
+                           sets.astype(np.uint16) if n_sets <= 1 << 16 else
+                           sets, kind="stable")
+        del sets
+        key, src = _drop_repeats(key[order], src[order])
+        del order
+    m = key.size
+    # group each line's accesses, set-sorted (= time) order within
+    by_line = np.argsort(key, kind="stable").astype(pos)
+    key = key[by_line]
+    first = np.empty(m, dtype=bool)
+    first[0] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    distinct = np.bincount((key[first].astype(np.int64) + low) & mask,
+                           minlength=n_sets)
+    fills = int(np.minimum(distinct, ways).sum())
+    del key
+    same = ~first[1:]
+    later = by_line[1:][same]
+    earlier = by_line[:-1][same]
+    del by_line, first, same
+    nxt = np.full(m, m, dtype=pos)
+    nxt[earlier] = later
+    gaps = later - earlier - 1
+    del earlier
+    hit_res = np.zeros(m, dtype=bool)
+    short = gaps < ways
+    hit_res[later[short]] = True                                 # rule 2
+    rows = later[~short]
+    gaps = gaps[~short]
+    del later, short
+    if rows.size:
+        deep = _window_min(nxt, ways)[rows - 1] < rows           # rule 3
+        hit_res[_deep_hits(nxt, rows[deep], gaps[deep], ways)] = True
+    hits[src[~hit_res]] = False                                  # rule 1 too
+    return hits, fills
+
+
 # -- engine eligibility ---------------------------------------------------------
 
 
 def stack_ineligibility(spec: PlatformSpec) -> Optional[str]:
     """Why ``spec`` cannot be priced from stack distances (None = it can).
 
-    The stack backend is exact only for a machine whose every cache
-    instance is a single-level fully-associative LRU fed the raw
-    stream: multi-level hierarchies filter the stream (see the module
-    docstring's counterexample), other policies don't obey stack
-    inclusion, set-associativity splits the stream by set, prefetchers
-    mutate residency outside the demand stream, and a TLB is an extra
-    (set-associative) cache on the side.
+    Pricing is exact for any non-inclusive hierarchy of LRU caches,
+    TLB included (see the module docstring).  It is not for other
+    replacement policies, whose hits do not follow the distinct-line
+    rule; for stream prefetchers, which install lines outside the
+    demand stream; or for an inclusive LLC, whose evictions invalidate
+    lines in the levels inside it.
     """
-    if len(spec.levels) != 1:
-        return ("multi-level hierarchy: outer levels see the inner "
-                "levels' filtered miss stream, which stack distances "
-                "of the raw stream cannot price")
-    level = spec.levels[0]
-    if level.cache.replacement != "lru":
-        return (f"replacement {level.cache.replacement!r} does not obey "
-                f"LRU stack inclusion")
-    if level.cache.n_sets != 1:
-        return (f"{level.cache.n_sets}-set cache is set-associative; "
-                f"stack pricing needs a fully-associative geometry")
-    if level.prefetch is not None:
-        return "prefetcher installs lines outside the demand stream"
-    if spec.tlb is not None:
-        return "platform models a TLB, which stack pricing does not cover"
+    for level in spec.levels:
+        cache = level.cache
+        if cache.replacement != "lru":
+            return (f"{cache.name} replacement {cache.replacement!r} does "
+                    f"not obey LRU stack inclusion")
+        if level.prefetch is not None:
+            return (f"{cache.name} prefetcher installs lines outside the "
+                    f"demand stream")
+    if spec.tlb is not None and spec.tlb.replacement != "lru":
+        return (f"{spec.tlb.name} replacement {spec.tlb.replacement!r} does "
+                f"not obey LRU stack inclusion")
+    if spec.inclusive and len(spec.levels) > 1:
+        return ("inclusive LLC back-invalidates inner levels, so their "
+                "streams depend on the LLC's evictions")
     return None
+
+
+def prices_by_histogram(spec: PlatformSpec) -> bool:
+    """True when one stack-distance histogram prices ``spec``.
+
+    That takes a single fully-associative LRU level and no TLB; a
+    histogram then prices every capacity of such a platform, which is
+    what capacity sweeps exploit.  Other eligible platforms are priced
+    level by level with :func:`lru_hits`.
+    """
+    return (stack_ineligibility(spec) is None and len(spec.levels) == 1
+            and spec.levels[0].cache.n_sets == 1 and spec.tlb is None)
 
 
 def fully_associative_spec(capacity_lines: int,

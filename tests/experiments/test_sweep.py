@@ -209,9 +209,29 @@ class TestCapacityFastPath:
 
         monkeypatch.setattr(sweep_mod, "run_cells_parallel", spy)
         plats = [fully_associative_spec(8, n_cores=4, n_sockets=1),
-                 default_ivybridge(64)]  # multi-level: not stack-priceable
+                 default_ivybridge(64)]  # multi-level: no shared histogram
         sweep_cells(fa_base, {"platform": plats}, counters=[])
         assert calls
+
+    def test_hierarchy_sweep_keeps_the_worker_pool(self, base_cell,
+                                                   monkeypatch):
+        # hierarchies are priced exactly as well, but one geometry per
+        # pricing run: only histograms share one pass across capacities
+        import repro.experiments.sweep as sweep_mod
+        calls = []
+        original = sweep_mod.run_cells_parallel
+
+        def spy(*a, **k):
+            calls.append(k["workers"])
+            return original(*a, **k)
+
+        monkeypatch.setattr(sweep_mod, "run_cells_parallel", spy)
+        plats = [default_ivybridge(64), default_ivybridge(32)]
+        assert not sweep_mod._capacity_only_platforms(plats)
+        rows = sweep_cells(base_cell, {"platform": plats},
+                           counters=["PAPI_L3_TCA"], workers=1)
+        assert calls == [1]
+        assert len(rows) == 2
 
 
 class TestCompareLayouts:

@@ -3,10 +3,11 @@
 import importlib.util
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
 
-from repro.experiments import BilateralCell, default_ivybridge
+from repro.experiments import BilateralCell, default_ivybridge, run_cells_parallel
 from repro.instrument import trace
 from repro.instrument.manifest import (
     MANIFEST_SCHEMA_VERSION,
@@ -18,6 +19,7 @@ from repro.instrument.manifest import (
     validate_trace_file,
     write_manifest,
 )
+from repro.memsim import with_replacement
 
 
 @pytest.fixture(autouse=True)
@@ -177,6 +179,40 @@ class TestClusterServeSection:
         m["serve"]["cluster_deaths"] += 1  # a drifted tally
         problems = script.cross_check(str(path), m)
         assert any("cluster_deaths" in p for p in problems)
+
+
+class TestPricingRecordedInTrace:
+    """``engine.replay`` names the engine that priced a run: ``backend``
+    is "stack" when it was priced, and ``fallback`` says why the default
+    backend replayed instead.  The trace validator accepts both."""
+
+    CASES = {
+        "priced": (default_ivybridge(64), None),
+        "fifo": (with_replacement(default_ivybridge(64), "fifo"),
+                 "replacement 'fifo'"),
+        "inclusive": (replace(default_ivybridge(64), inclusive=True),
+                      "inclusive LLC"),
+    }
+
+    @pytest.mark.parametrize("which", list(CASES))
+    def test_replay_span_names_the_engine(self, which, tmp_path):
+        spec, reason = self.CASES[which]
+        t = trace.enable()
+        run_cells_parallel([_cell(platform=spec)], workers=1)
+        trace.disable()
+        (span,) = [r for r in t.records if r["name"] == "engine.replay"]
+        if reason is None:
+            assert span["attrs"]["backend"] == "stack"
+            assert "fallback" not in span["attrs"]
+        else:
+            assert "backend" not in span["attrs"]
+            assert reason in span["attrs"]["fallback"]
+        path = tmp_path / "cell.jsonl"
+        t.write_jsonl(path)
+        m = build_manifest(t)
+        validate_manifest(m)
+        assert validate_trace_file(path) == len(t.records)
+        assert _load_validate_trace_script().cross_check(str(path), m) == []
 
 
 class TestTraceFileValidation:

@@ -30,6 +30,7 @@ from repro.memsim import (
     fully_associative_spec,
     get_platform,
     per_thread_histograms,
+    prices_by_histogram,
     stack_distance_histogram,
     stack_distances,
     stack_ineligibility,
@@ -288,6 +289,20 @@ class TestEngineStackBackend:
         assert res.n_accesses == 0
         assert res.runtime_seconds == 0.0
 
+    @pytest.mark.parametrize("spec", [fully_associative_spec(8),
+                                      get_platform("ivybridge", 64)],
+                             ids=["histogram", "levels"])
+    def test_empty_run_level_served_matches_replay(self, spec):
+        # replay names no level when no batch ran; neither may pricing
+        idle = [ThreadWork(0, 0, TraceChunk(
+            lines=np.empty(0, dtype=np.int64)))]
+        for works in ([], idle):
+            ref = SimulationEngine(spec, backend="scalar").run(works)
+            assert ref.level_served == {"MEM": 0.0}
+            for backend in ("stack", "auto"):
+                got = SimulationEngine(spec, backend=backend).run(works)
+                assert got.level_served == ref.level_served, backend
+
     def test_collapsed_hits_only_thread(self):
         spec = fully_associative_spec(8)
         empty = TraceChunk(lines=np.empty(0, dtype=np.int64),
@@ -309,36 +324,67 @@ class TestEngineStackBackend:
 
 
 class TestStackFallback:
-    """stack on an ineligible config must fall back (or raise), never
-    return wrong counts."""
+    """Eligible platforms price exactly; ineligible ones replay, never
+    returning wrong counts."""
+
+    def _eligible_specs(self):
+        fa = fully_associative_spec(16)
+        level = fa.levels[0]
+        return {
+            "set-associative": replace(fa, levels=(replace(
+                level, cache=CacheConfig("L1", 4 * 2 * 64, ways=2)),)),
+            "tlb": replace(fa, tlb=CacheConfig(
+                "TLB", 16 * 4096, line_bytes=4096, ways=4)),
+            "multi-level": get_platform("ivybridge"),
+        }
 
     def _ineligible_specs(self):
         fa = fully_associative_spec(16)
         level = fa.levels[0]
-        set_assoc = replace(fa, levels=(replace(
-            level, cache=CacheConfig("L1", 4 * 2 * 64, ways=2)),))
         non_lru = replace(fa, levels=(replace(
             level, cache=replace(level.cache, replacement="fifo")),))
         prefetching = replace(fa, levels=(replace(
             level, prefetch=PrefetchConfig()),))
-        with_tlb = replace(fa, tlb=CacheConfig(
-            "TLB", 16 * 4096, line_bytes=4096, ways=4))
-        multi_level = get_platform("ivybridge")
+        inclusive = replace(get_platform("ivybridge"), inclusive=True)
         return {
-            "set-associative": set_assoc,
             "non-lru": non_lru,
             "prefetcher": prefetching,
-            "tlb": with_tlb,
-            "multi-level": multi_level,
+            "inclusive": inclusive,
         }
 
     def test_ineligibility_reasons(self):
         assert stack_ineligibility(fully_associative_spec(4)) is None
+        for name, spec in self._eligible_specs().items():
+            assert stack_ineligibility(spec) is None, name
         for name, spec in self._ineligible_specs().items():
             assert stack_ineligibility(spec) is not None, name
 
-    @pytest.mark.parametrize("which", ["set-associative", "non-lru",
-                                       "prefetcher", "tlb", "multi-level"])
+    def test_only_single_level_fully_associative_uses_histograms(self):
+        assert prices_by_histogram(fully_associative_spec(4))
+        for name, spec in self._eligible_specs().items():
+            assert not prices_by_histogram(spec), name
+        for name, spec in self._ineligible_specs().items():
+            assert not prices_by_histogram(spec), name
+
+    @pytest.mark.parametrize("which", ["set-associative", "tlb",
+                                       "multi-level"])
+    def test_eligible_matches_replayer(self, which):
+        spec = self._eligible_specs()[which]
+        rng = np.random.default_rng(11)
+        works = _works(rng, spec, 2, 300, 500)
+        eng = SimulationEngine(spec, backend="stack")
+        assert eng.uses_stack
+        assert eng.stack_fallback_reason is None
+        got = eng.run(works)
+        ref_eng = SimulationEngine(spec, backend="scalar")
+        ref = ref_eng.run(works)
+        assert got == ref  # counters, totals and cycles, bit for bit
+        names = spec.level_names() + ([spec.tlb.name] if spec.tlb else [])
+        for name in names:
+            assert eng.machine.level_stats(name) \
+                == ref_eng.machine.level_stats(name), name
+
+    @pytest.mark.parametrize("which", ["non-lru", "prefetcher", "inclusive"])
     def test_fallback_matches_replayer(self, which):
         spec = self._ineligible_specs()[which]
         rng = np.random.default_rng(11)
@@ -354,7 +400,7 @@ class TestStackFallback:
     def test_multi_level_counterexample(self):
         # x y x z w x through L1=2, L2=3 lines: the final x is an L2
         # miss in reality but a hit by global-histogram pricing — the
-        # reason multi-level configs must fall back.
+        # reason hierarchies are priced level by level instead.
         stream = np.array([0, 1, 0, 2, 3, 0], dtype=np.int64)
         hist = stack_distance_histogram(stream)
         naive_l2_misses = hist.misses(3)
@@ -362,6 +408,17 @@ class TestStackFallback:
         l2 = Cache(CacheConfig("L2", 3 * 64, ways=3))
         actual_l2_misses = l2.access_lines(l1.access_lines(stream)).size
         assert naive_l2_misses != actual_l2_misses
+        # level-by-level pricing sees the 5 L2 misses replay does
+        assert actual_l2_misses == 5
+        spec = replace(fully_associative_spec(2), levels=(
+            LevelSpec(CacheConfig("L1", 2 * 64, ways=2)),
+            LevelSpec(CacheConfig("L2", 3 * 64, ways=3))),
+            counters={"L2_TCM": ("L2", "misses")})
+        works = [ThreadWork(0, 0, TraceChunk(lines=stream))]
+        for backend in ("auto", "scalar"):
+            eng = SimulationEngine(spec, backend=backend)
+            assert eng.uses_stack == (backend == "auto")
+            assert eng.run(works).counters == {"L2_TCM": 5.0}
 
     def test_warm_continuation_raises(self):
         spec = fully_associative_spec(8)
