@@ -37,7 +37,7 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from . import faults as _faults
 
@@ -323,6 +323,45 @@ def quarantine_artifact(path: str, problem: str) -> Optional[str]:
     return target
 
 
+def _read_verified(path: str, *, quarantine: bool,
+                   require_sidecar: bool
+                   ) -> Tuple[Optional[Dict[str, Any]], Optional[bytes]]:
+    """Read ``path`` once and check those bytes against its sidecar.
+
+    Returns ``(record, data)``: the sidecar record and the very bytes
+    whose length and SHA-256 matched it, or ``(None, None)`` — nothing
+    read — when the artifact has no sidecar (a legacy file, tolerated
+    unless ``require_sidecar``).  On any mismatch the artifact is
+    renamed aside (when ``quarantine``) and
+    :class:`ArtifactIntegrityError` is raised.
+    """
+    record = read_sidecar(path)
+    if record is None:
+        if require_sidecar:
+            raise ArtifactIntegrityError(path, "no integrity sidecar")
+        return None, None
+    problem = record.get("problem")
+    data = b""
+    if problem is None:
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            problem = f"artifact unreadable: {exc}"
+    if problem is None and len(data) != record.get("bytes"):
+        problem = f"size {len(data)} B != recorded {record.get('bytes')} B"
+    if problem is None:
+        actual_sha = _digest(data)
+        if actual_sha != record.get("sha256"):
+            problem = (f"sha256 {actual_sha[:12]}… != recorded "
+                       f"{str(record.get('sha256'))[:12]}…")
+    if problem is None:
+        _count("resilience.artifacts_verified")
+        return record, data
+    quarantined_to = quarantine_artifact(path, problem) if quarantine else None
+    raise ArtifactIntegrityError(path, problem, quarantined_to)
+
+
 def verify_artifact(path: str, *, quarantine: bool = True,
                     require_sidecar: bool = False) -> Optional[Dict[str, Any]]:
     """Check ``path`` against its sidecar; quarantine + raise on mismatch.
@@ -334,39 +373,23 @@ def verify_artifact(path: str, *, quarantine: bool = True,
     raised: the caller can never read a wrong byte from a verified
     artifact.
     """
-    path = os.fspath(path)
-    record = read_sidecar(path)
-    if record is None:
-        if require_sidecar:
-            raise ArtifactIntegrityError(path, "no integrity sidecar")
-        return None
-    problem = record.get("problem")
-    if problem is None:
-        try:
-            actual_bytes = os.path.getsize(path)
-        except OSError as exc:
-            problem = f"artifact unreadable: {exc}"
-        else:
-            if actual_bytes != record.get("bytes"):
-                problem = (f"size {actual_bytes} B != recorded "
-                           f"{record.get('bytes')} B")
-    if problem is None:
-        with open(path, "rb") as fh:
-            actual_sha = _digest(fh.read())
-        if actual_sha != record.get("sha256"):
-            problem = (f"sha256 {actual_sha[:12]}… != recorded "
-                       f"{str(record.get('sha256'))[:12]}…")
-    if problem is None:
-        _count("resilience.artifacts_verified")
-        return record
-    quarantined_to = quarantine_artifact(path, problem) if quarantine else None
-    raise ArtifactIntegrityError(path, problem, quarantined_to)
+    return _read_verified(os.fspath(path), quarantine=quarantine,
+                          require_sidecar=require_sidecar)[0]
 
 
 def read_artifact(path: str, *, verify: bool = True,
                   require_sidecar: bool = False) -> bytes:
-    """Read an artifact's bytes, verifying against the sidecar first."""
+    """Read an artifact's bytes, verified against the sidecar.
+
+    The file is opened once: the bytes returned are the bytes whose
+    length and SHA-256 were checked.
+    """
+    path = os.fspath(path)
+    data = None
     if verify:
-        verify_artifact(path, require_sidecar=require_sidecar)
-    with open(path, "rb") as fh:
-        return fh.read()
+        data = _read_verified(path, quarantine=True,
+                              require_sidecar=require_sidecar)[1]
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return data

@@ -28,83 +28,8 @@ from ..core.registry import parse_spec
 __all__ = ["LRUCache", "NoCache", "make_cache"]
 
 
-class LRUCache:
-    """Fully-associative LRU over segment arrays, with exact counters.
-
-    ``capacity`` is in *segments* (cache "lines"), matching the
-    granularity :func:`repro.memsim.stackdist.fully_associative_spec`
-    prices.  Counters: ``accesses``, ``hits``, ``misses``,
-    ``evictions``; ``access_log`` records every requested segment id in
-    order — the stream the memsim cross-check replays.
-    """
-
-    def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise ValueError(f"cache capacity must be positive, "
-                             f"got {capacity}")
-        self.capacity = int(capacity)
-        self._slots: "OrderedDict[int, np.ndarray]" = OrderedDict()
-        self.accesses = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.access_log: List[int] = []
-
-    def get(self, key: int, load: Callable[[int], np.ndarray]) -> np.ndarray:
-        """Return the cached value for ``key``, loading on miss."""
-        key = int(key)
-        self.accesses += 1
-        self.access_log.append(key)
-        if key in self._slots:
-            self.hits += 1
-            self._slots.move_to_end(key)
-            return self._slots[key]
-        self.misses += 1
-        value = load(key)
-        self._slots[key] = value
-        if len(self._slots) > self.capacity:
-            self._slots.popitem(last=False)
-            self.evictions += 1
-        return value
-
-    def forget_failed_access(self, key: int) -> None:
-        """Roll back the trailing access after its loader raised.
-
-        :meth:`get` counts the access (and the miss) *before* calling
-        ``load`` — if the load then fails (deadline, exhausted
-        failover) the log would record an access the cache never
-        completed, and the bit-for-bit memsim cross-check would price
-        a retry of the same segment as a hit the real cache never saw.
-        The server's fetch wrapper calls this from its exception path;
-        a failed load never inserts a slot, so popping the log entry
-        and the two counters restores the exact pre-access state.
-        """
-        if self.access_log and self.access_log[-1] == int(key):
-            self.access_log.pop()
-            self.accesses -= 1
-            self.misses -= 1
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def counters(self) -> dict:
-        """Counter snapshot (plain dict, JSON-friendly)."""
-        return {"accesses": self.accesses, "hits": self.hits,
-                "misses": self.misses, "evictions": self.evictions,
-                "capacity": self.capacity, "resident": len(self._slots)}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"LRUCache(capacity={self.capacity}, hits={self.hits}, "
-                f"misses={self.misses})")
-
-
-class NoCache:
-    """The uncached baseline: every access loads; the log still records.
-
-    Keeping the same interface (and the same ``access_log``) means the
-    memsim cross-check and the bench's utilization metrics work
-    identically with caching disabled.
-    """
+class _Counted:
+    """The exact counters and the access log every serve cache keeps."""
 
     capacity = 0
 
@@ -115,28 +40,88 @@ class NoCache:
         self.evictions = 0
         self.access_log: List[int] = []
 
-    def get(self, key: int, load: Callable[[int], np.ndarray]) -> np.ndarray:
-        key = int(key)
-        self.accesses += 1
-        self.misses += 1
-        self.access_log.append(key)
-        return load(key)
+    def counters(self) -> dict:
+        """Counter snapshot (plain dict, JSON-friendly)."""
+        return {"accesses": self.accesses, "hits": self.hits,
+                "misses": self.misses, "evictions": self.evictions,
+                "capacity": self.capacity, "resident": len(self)}
 
-    def forget_failed_access(self, key: int) -> None:
-        """Roll back the trailing access after its loader raised
-        (see :meth:`LRUCache.forget_failed_access`)."""
-        if self.access_log and self.access_log[-1] == int(key):
-            self.access_log.pop()
-            self.accesses -= 1
-            self.misses -= 1
+
+class LRUCache(_Counted):
+    """Fully-associative LRU over segment arrays, with exact counters.
+
+    ``capacity`` is in *segments* (cache "lines"), matching the
+    granularity :func:`repro.memsim.stackdist.fully_associative_spec`
+    prices.  Counters: ``accesses``, ``hits``, ``misses``,
+    ``evictions``; ``access_log`` records the segment id of every
+    access in order — the stream the memsim cross-check replays.
+    """
+
+    def __init__(self, capacity: int):
+        if capacity <= 0:
+            raise ValueError(f"cache capacity must be positive, "
+                             f"got {capacity}")
+        super().__init__()
+        self.capacity = int(capacity)
+        self._slots: "OrderedDict[int, np.ndarray]" = OrderedDict()
+
+    def get(self, key: int, load: Callable[[int], np.ndarray],
+            n: int = 1) -> np.ndarray:
+        """Return the cached value for ``key``, loading on miss.
+
+        One call stands for ``n`` back-to-back accesses of ``key`` (a
+        run of chunks in one segment) and counts exactly as ``n`` calls
+        would: the first access may miss, the rest hit.  The access is
+        recorded only after ``load`` returns, so a failed load leaves
+        the counters and the log as they were.
+        """
+        key = int(key)
+        slots = self._slots
+        if key in slots:
+            slots.move_to_end(key)
+            value = slots[key]
+            self.hits += n
+        else:
+            value = load(key)
+            slots[key] = value
+            if len(slots) > self.capacity:
+                slots.popitem(last=False)
+                self.evictions += 1
+            self.misses += 1
+            self.hits += n - 1
+        self.accesses += n
+        self.access_log.extend([key] * n)
+        return value
+
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (f"LRUCache(capacity={self.capacity}, hits={self.hits}, "
+                f"misses={self.misses})")
+
+
+class NoCache(_Counted):
+    """The uncached baseline: every access loads; the log still records.
+
+    Keeping the same interface (and the same ``access_log``) means the
+    memsim cross-check and the bench's utilization metrics work
+    identically with caching disabled.
+    """
+
+    def get(self, key: int, load: Callable[[int], np.ndarray],
+            n: int = 1) -> np.ndarray:
+        """Load ``key`` once per access: ``n`` loads for a run of ``n``."""
+        key = int(key)
+        for _ in range(n):
+            value = load(key)
+            self.accesses += 1
+            self.misses += 1
+            self.access_log.append(key)
+        return value
 
     def __len__(self) -> int:
         return 0
-
-    def counters(self) -> dict:
-        return {"accesses": self.accesses, "hits": self.hits,
-                "misses": self.misses, "evictions": self.evictions,
-                "capacity": 0, "resident": 0}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"NoCache(accesses={self.accesses})"

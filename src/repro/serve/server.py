@@ -150,6 +150,23 @@ class QueryResult:
 
 # -- the server ---------------------------------------------------------------
 
+#: (right, up, view) sign columns of a box's eight corners, each (8, 1)
+_CORNER_SIGNS = np.array([(sr, su, sv) for sr in (-1.0, 1.0)
+                          for su in (-1.0, 1.0)
+                          for sv in (-1.0, 1.0)]).T[:, :, None]
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.cross`` of two 3-vectors, bit for bit, without its set-up cost.
+
+    Each component is the same difference of two rounded products.
+    """
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
+                     a0 * b1 - a1 * b0])
+
+
 class VolumeServer:
     """Serve spatial queries over a :class:`ChunkStore`.
 
@@ -206,22 +223,17 @@ class VolumeServer:
         view = center - eye
         view /= np.linalg.norm(view)
         up = np.asarray(cam.up, dtype=np.float64)
-        right = np.cross(view, up)
+        right = _cross(view, up)
         right /= np.linalg.norm(right)
-        true_up = np.cross(right, view)
+        true_up = _cross(right, view)
         # the visible region is the oriented cube inscribed in the view
         # sphere of radius max_extent/(2*zoom): half-edge = r/sqrt(3),
         # so zooming in shrinks the fetched box isotropically instead of
         # inflating it by the AABB of a volume-sized oriented cube
         r = float(np.array(shape, dtype=np.float64).max()) / (2.0 * q.zoom)
         h = r / np.sqrt(3.0)
-        corners = []
-        for sr in (-1.0, 1.0):
-            for su in (-1.0, 1.0):
-                for sv in (-1.0, 1.0):
-                    corners.append(center + h * (sr * right + su * true_up
-                                                 + sv * view))
-        pts = np.asarray(corners)
+        sr, su, sv = _CORNER_SIGNS
+        pts = center + h * (sr * right + su * true_up + sv * view)
         lo = np.floor(pts.min(axis=0)).astype(np.int64)
         hi = np.ceil(pts.max(axis=0)).astype(np.int64)
         lo = np.maximum(lo, 0)
@@ -254,58 +266,45 @@ class VolumeServer:
             return self._reader(seg, self._policy)
         return self.store.read_segment(seg, policy=self._policy)
 
-    def _fetch(self, seg: int) -> np.ndarray:
-        """One cached segment fetch, deadline-checked and rollback-safe.
-
-        The deadline check sits *before* the cache access — between
-        segment fetches is the only place synchronous processing can
-        honor a budget.  When the miss loader raises (deadline,
-        exhausted failover), the cache forgets the aborted access so
-        its log and counters stay bit-for-bit consistent with the
-        memsim cross-check on the retry.
-        """
-        if self._policy is not None:
-            self._policy.check_deadline()
-        try:
-            return self.cache.get(seg, self._load_segment)
-        except BaseException:
-            self.cache.forget_failed_access(seg)
-            raise
-
     def _process(self, q: Query, attempt: int = 1) -> QueryResult:
         if not isinstance(q, (BBoxQuery, SlabQuery, ViewportQuery,
                               RayQuery)):
             raise TypeError(f"unknown query type {type(q).__name__}")
         store = self.store
         cache = self.cache
-        if self._policy is not None:
+        policy = self._policy
+        if policy is not None:
             # a fresh budget per attempt: retrying re-arms the deadline
-            self._policy.deadline = Deadline(self.reliability.deadline_s)
+            policy.deadline = Deadline(self.reliability.deadline_s)
+        segs: List[int] = []  # one per fetched segment run, in plan order
+        needed = 0
+
+        def fetch(seg: int, n_chunks: int) -> np.ndarray:
+            # between segment runs is the only place synchronous
+            # processing can honor a deadline
+            nonlocal needed
+            if policy is not None:
+                policy.check_deadline()
+            block = cache.get(seg, self._load_segment, n_chunks)
+            segs.append(seg)
+            needed += n_chunks
+            return block
+
         hits0, misses0 = cache.hits, cache.misses
         t0 = time.perf_counter()
         with _trace.span("serve.query", kind=q.kind, order=store.order) as sp:
-            if isinstance(q, BBoxQuery):
-                lo, hi = q.lo, q.hi
-            elif isinstance(q, SlabQuery):
-                lo, hi = self._slab_bbox(q)
-            elif isinstance(q, ViewportQuery):
-                lo, hi = self._viewport_bbox(q)
-            else:
-                lo = hi = None
-
             if isinstance(q, RayQuery):
-                idx = self._ray_points(q)
-                data, needed, segs = self._sample_points(idx)
+                data = self._sample_points(self._ray_points(q), fetch)
             else:
-                ids = store.chunks_for_bbox(lo, hi)
-                needed = int(ids.size)
-                segs = np.unique(store.segment_of_slot(store.slot_of[ids]))
-                data = store.read_bbox(lo, hi, fetch=self._fetch)
-
-            touched = int(segs.size)
-            bytes_touched = sum(
-                store.segment_chunk_count(int(s)) * store.chunk_bytes
-                for s in segs)
+                if isinstance(q, BBoxQuery):
+                    lo, hi = q.lo, q.hi
+                elif isinstance(q, SlabQuery):
+                    lo, hi = self._slab_bbox(q)
+                else:
+                    lo, hi = self._viewport_bbox(q)
+                data = store.read_bbox(lo, hi, fetch=fetch)
+            touched = len(segs)
+            bytes_touched = store.segments_bytes(segs)
             bytes_returned = int(data.nbytes)
             sp.set("chunks_needed", needed)
             sp.set("segments_touched", touched)
@@ -320,54 +319,65 @@ class VolumeServer:
             cache_misses=cache.misses - misses0,
             attempts=attempt)
 
-    def _sample_points(self, idx: np.ndarray):
-        """Nearest-voxel samples at integer points ``idx`` (N×3)."""
+    def _sample_points(self, idx: np.ndarray, fetch) -> np.ndarray:
+        """Nearest-voxel samples at integer points ``idx`` (N×3).
+
+        The run contract of :meth:`ChunkStore.read_bbox`: the needed
+        chunks in file-slot order, one ``fetch(segment, n_chunks)`` per
+        segment run, then one gather for the run's points.
+        """
         store = self.store
-        if idx.size == 0:
-            return (np.empty(0, dtype=store.dtype), 0,
-                    np.empty(0, dtype=np.int64))
-        cx, cy, cz = store.chunk_shape
-        cids = store.chunk_ids(idx[:, 0] // cx, idx[:, 1] // cy,
-                               idx[:, 2] // cz)
-        uniq = np.unique(cids)
-        segs = np.unique(store.segment_of_slot(store.slot_of[uniq]))
         out = np.empty(idx.shape[0], dtype=store.dtype)
-        # visit chunks in file-slot order so the cache sees the
-        # placement-ordered stream, same as bbox assembly
-        order = np.argsort(store.slot_of[uniq], kind="stable")
-        for cid in uniq[order]:
-            slot = int(store.slot_of[cid])
-            seg, off = divmod(slot, store.chunks_per_segment)
-            block = self._fetch(seg)[off]
-            sel = cids == cid
-            ci, cj, ck = (int(v) for v in store.chunk_coords(int(cid)))
-            pts = idx[sel]
-            out[sel] = block[pts[:, 0] - ci * cx,
-                             pts[:, 1] - cj * cy,
-                             pts[:, 2] - ck * cz]
-        return out, int(uniq.size), segs
+        if idx.size == 0:
+            return out
+        chunk = np.asarray(store.chunk_shape, dtype=np.int64)
+        cell = idx // chunk
+        local = idx - cell * chunk
+        slots = store.slot_of[store.chunk_ids(cell[:, 0], cell[:, 1],
+                                              cell[:, 2])]
+        offs = slots % store.chunks_per_segment
+        uniq, chunk_of = np.unique(slots, return_inverse=True)
+        by_chunk = np.argsort(chunk_of, kind="stable")
+        segs, bounds = store.segment_runs(uniq)
+        # each run's points, as a range of by_chunk
+        first = np.searchsorted(chunk_of[by_chunk], bounds).tolist()
+        for seg, start, stop, p0, p1 in zip(segs, bounds, bounds[1:],
+                                            first, first[1:]):
+            block = fetch(seg, stop - start)
+            sel = by_chunk[p0:p1]
+            out[sel] = block[offs[sel], local[sel, 0], local[sel, 1],
+                             local[sel, 2]]
+        return out
 
-    # -- attempt bookkeeping -------------------------------------------------
+    # -- the retry loop ------------------------------------------------------
 
-    def _attempt(self, q: Query, attempt: int):
-        """Run one attempt; returns ``(result, None)`` or ``(None, error)``."""
-        try:
-            return self._process(q, attempt=attempt), None
-        except DeadlineExceeded as exc:
-            _trace.add("serve.reliability_deadline_miss", 1)
-            return None, f"deadline: {exc}"
-        except Exception as exc:
-            return None, f"{type(exc).__name__}: {exc}"
+    def _attempts(self, q: Query):
+        """The one retry loop behind :meth:`serve` and :meth:`query`.
 
-    def _give_up(self, q: Query, error: str, attempts: int) -> QueryRejected:
-        reason = "deadline" if error.startswith("deadline:") else "error"
-        _trace.add("serve.reliability_failed", 1)
-        return QueryRejected(query=q, reason=reason, error=error,
-                             attempts=attempts)
-
-    def _should_stop(self, error: str, attempt: int) -> bool:
+        A generator that runs attempts and yields the backoff delay
+        before each retry, so each caller sleeps its own way; its
+        return value is the answer.  Without a reliability config the
+        one attempt's failure raises.
+        """
+        if self.reliability is None:
+            return self._process(q)
         retry = self.reliability.retry
-        return attempt > retry.max_retries or not retry.retryable(error)
+        attempt = 1
+        while True:
+            try:
+                return self._process(q, attempt=attempt)
+            except DeadlineExceeded as exc:
+                _trace.add("serve.reliability_deadline_miss", 1)
+                reason, error = "deadline", f"deadline: {exc}"
+            except Exception as exc:
+                reason, error = "error", f"{type(exc).__name__}: {exc}"
+            if attempt > retry.max_retries or not retry.retryable(error):
+                _trace.add("serve.reliability_failed", 1)
+                return QueryRejected(query=q, reason=reason, error=error,
+                                     attempts=attempt)
+            _trace.add("serve.reliability_retries", 1)
+            yield retry.backoff_seconds(attempt)
+            attempt += 1
 
     # -- public surface ------------------------------------------------------
 
@@ -379,18 +389,13 @@ class VolumeServer:
         query returns a typed :class:`QueryRejected`; without one,
         failures raise (the original contract).
         """
-        if self.reliability is None:
-            return self._process(q)
-        attempt = 1
+        attempts = self._attempts(q)
         while True:
-            result, error = self._attempt(q, attempt)
-            if result is not None:
-                return result
-            if self._should_stop(error, attempt):
-                return self._give_up(q, error, attempt)
-            _trace.add("serve.reliability_retries", 1)
-            time.sleep(self.reliability.retry.backoff_seconds(attempt))
-            attempt += 1
+            try:
+                delay = next(attempts)
+            except StopIteration as done:
+                return done.value
+            time.sleep(delay)
 
     async def query(self, q: Query,
                     semaphore: Optional[asyncio.Semaphore] = None
@@ -417,18 +422,13 @@ class VolumeServer:
             return await self._query_with_retries(q)
 
     async def _query_with_retries(self, q: Query):
-        if self.reliability is None:
-            return self._process(q)
-        attempt = 1
+        attempts = self._attempts(q)
         while True:
-            result, error = self._attempt(q, attempt)
-            if result is not None:
-                return result
-            if self._should_stop(error, attempt):
-                return self._give_up(q, error, attempt)
-            _trace.add("serve.reliability_retries", 1)
-            await asyncio.sleep(self.reliability.retry.backoff_seconds(attempt))
-            attempt += 1
+            try:
+                delay = next(attempts)
+            except StopIteration as done:
+                return done.value
+            await asyncio.sleep(delay)
 
     async def session(self, queries: Sequence[Query], *,
                       concurrency: int = 4,

@@ -94,8 +94,6 @@ def chunk_placement(order: str, grid_shape: Sequence[int]) -> np.ndarray:
     ck = ids // (gx * gy)
     offsets = layout.index_array(ci, cj, ck)
     perm = np.argsort(offsets, kind="stable")  # slot s holds chunk perm[s]
-    slot_of = np.empty(ids.size, dtype=np.int64)
-    slot_of[perm] = ids
     # perm maps slot -> chunk; invert to chunk -> slot
     inv = np.empty(ids.size, dtype=np.int64)
     inv[perm] = np.arange(ids.size, dtype=np.int64)
@@ -272,10 +270,6 @@ class ChunkStore:
         ck = np.asarray(ck, dtype=np.int64)
         return ci + gx * (cj + gy * ck)
 
-    def segment_of_slot(self, slots) -> np.ndarray:
-        """Segment index holding each file slot."""
-        return np.asarray(slots, dtype=np.int64) // self.chunks_per_segment
-
     def segment_chunk_count(self, seg: int) -> int:
         """Number of chunks stored in segment ``seg``."""
         start = seg * self.chunks_per_segment
@@ -298,12 +292,31 @@ class ChunkStore:
         if any(a < 0 or b > s for a, b, s in zip(lo, hi, self.shape)):
             raise ValueError(f"bbox lo={lo} hi={hi} outside volume "
                              f"{self.shape}")
+        gx, gy, _ = self.grid_shape
         c0 = [a // c for a, c in zip(lo, self.chunk_shape)]
         c1 = [-(-b // c) for b, c in zip(hi, self.chunk_shape)]
-        ck, cj, ci = np.meshgrid(np.arange(c0[2], c1[2]),
-                                 np.arange(c0[1], c1[1]),
-                                 np.arange(c0[0], c1[0]), indexing="ij")
-        return self.chunk_ids(ci.ravel(), cj.ravel(), ck.ravel())
+        ci = np.arange(c0[0], c1[0], dtype=np.int64)
+        cj = np.arange(c0[1], c1[1], dtype=np.int64) * gx
+        ck = np.arange(c0[2], c1[2], dtype=np.int64) * (gx * gy)
+        # (z, y, x) row-major, so x varies fastest
+        return (ck[:, None, None] + cj[:, None] + ci).ravel()
+
+    def segment_runs(self, slots: np.ndarray) -> Tuple[List[int], List[int]]:
+        """Split sorted, non-empty file ``slots`` into one run per segment.
+
+        Returns ``(segments, bounds)``: run ``r`` is
+        ``slots[bounds[r]:bounds[r + 1]]``, all in ``segments[r]``.
+        """
+        segs = slots // self.chunks_per_segment
+        cuts = np.flatnonzero(segs[1:] != segs[:-1]) + 1
+        bounds = np.concatenate(([0], cuts, [segs.size]))
+        return segs[bounds[:-1]].tolist(), bounds.tolist()
+
+    def segments_bytes(self, segs: Sequence[int]) -> int:
+        """Bytes stored in segments ``segs`` (only the tail may be short)."""
+        starts = np.asarray(segs, dtype=np.int64) * self.chunks_per_segment
+        counts = np.minimum(self.chunks_per_segment, self.n_chunks - starts)
+        return int(counts.sum()) * self.chunk_bytes
 
     # -- segment I/O ----------------------------------------------------------
 
@@ -565,38 +578,43 @@ class ChunkStore:
     # -- assembly -------------------------------------------------------------
 
     def read_bbox(self, lo: Sequence[int], hi: Sequence[int],
-                  fetch: Optional[Callable[[int], np.ndarray]] = None
+                  fetch: Optional[Callable[[int, int], np.ndarray]] = None
                   ) -> np.ndarray:
         """Assemble the dense subvolume ``[lo, hi)`` from chunk blocks.
 
-        ``fetch(segment_index) -> segment array`` injects the caller's
-        read path (the server passes its cache); default is a direct
-        :meth:`read_segment`.  Chunks are visited in **file-slot
-        order**, so the access stream a cache sees is the stream the
-        placement produces.
+        One vectorized plan per call: every needed chunk's file slot,
+        sorted, with its segment, its clipped box in the output and its
+        offset inside the chunk.  The loop then only slice-copies.
+
+        ``fetch(segment, n_chunks) -> segment array`` injects the
+        caller's read path (the server passes its cache).  It is called
+        once per run of ``n_chunks`` consecutive needed chunks of one
+        segment, in **file-slot order**; since the slots are sorted,
+        each touched segment is exactly one run.  A caller that counts
+        ``n_chunks`` accesses per call therefore sees the chunk-by-chunk
+        stream the placement produces.  The default reads each run's
+        segment once with :meth:`read_segment`.
         """
-        fetch = fetch if fetch is not None else self.read_segment
+        if fetch is None:
+            def fetch(seg: int, n_chunks: int) -> np.ndarray:
+                return self.read_segment(seg)
         lo = tuple(int(v) for v in lo)
         hi = tuple(int(v) for v in hi)
-        cx, cy, cz = self.chunk_shape
-        out = np.empty(tuple(b - a for a, b in zip(lo, hi)),
-                       dtype=self.dtype)
-        ids = self.chunks_for_bbox(lo, hi)
-        slots = self.slot_of[ids]
-        for slot in np.sort(slots):
-            cid = int(self.chunk_at[slot])
-            ci, cj, ck = (int(v) for v in self.chunk_coords(cid))
-            seg = int(slot) // self.chunks_per_segment
-            block = fetch(seg)[int(slot) % self.chunks_per_segment]
-            a = (max(lo[0], ci * cx), max(lo[1], cj * cy), max(lo[2], ck * cz))
-            b = (min(hi[0], ci * cx + cx), min(hi[1], cj * cy + cy),
-                 min(hi[2], ck * cz + cz))
-            out[a[0] - lo[0]:b[0] - lo[0],
-                a[1] - lo[1]:b[1] - lo[1],
-                a[2] - lo[2]:b[2] - lo[2]] = \
-                block[a[0] - ci * cx:b[0] - ci * cx,
-                      a[1] - cj * cy:b[1] - cj * cy,
-                      a[2] - ck * cz:b[2] - ck * cz]
+        slots = np.sort(self.slot_of[self.chunks_for_bbox(lo, hi)])
+        origin = np.stack(self.chunk_coords(self.chunk_at[slots]),
+                          axis=1) * self.chunk_shape
+        a = np.maximum(origin, lo)
+        b = np.minimum(origin + self.chunk_shape, hi)
+        # per chunk: offset in segment, output box, box inside the chunk
+        plan = np.column_stack((slots % self.chunks_per_segment, a - lo,
+                                b - lo, a - origin, b - origin)).tolist()
+        out = np.empty(tuple(y - x for x, y in zip(lo, hi)), dtype=self.dtype)
+        segs, bounds = self.segment_runs(slots)
+        for seg, start, stop in zip(segs, bounds, bounds[1:]):
+            block = fetch(seg, stop - start)
+            for off, x0, y0, z0, x1, y1, z1, i0, j0, k0, i1, j1, k1 \
+                    in plan[start:stop]:
+                out[x0:x1, y0:y1, z0:z1] = block[off, i0:i1, j0:j1, k0:k1]
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

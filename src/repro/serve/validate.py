@@ -18,13 +18,6 @@ implementations of the same policy:
 All three (server, histogram, machine) must agree **exactly** — not
 within tolerance.  A one-access discrepancy means one of the three has
 a policy bug, and the mismatch report says which pair disagrees where.
-
-The exactness survives the reliability layer: when a segment load
-fails mid-access (fault, deadline, dead shard) the server calls
-:meth:`~repro.serve.cache.LRUCache.forget_failed_access` to roll the
-provisional log entry and counters back, so retries re-account the
-access once and the replayed stream stays the stream that actually
-filled the cache.
 """
 
 from __future__ import annotations

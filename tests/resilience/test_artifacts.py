@@ -8,6 +8,7 @@ import os
 import pytest
 
 from repro.instrument import trace
+from repro.resilience import artifacts
 from repro.resilience.artifacts import (
     ARTIFACT_SCHEMA_VERSION,
     ArtifactIntegrityError,
@@ -90,6 +91,22 @@ class TestSidecar:
         path.write_bytes(b"x")
         with pytest.raises(ArtifactIntegrityError, match="no integrity"):
             verify_artifact(str(path), require_sidecar=True)
+
+    def test_verified_read_opens_the_artifact_once(self, tmp_path,
+                                                   monkeypatch):
+        # the bytes returned are the bytes whose length and digest
+        # were checked: no second read after verification
+        path = str(tmp_path / "vol.raw")
+        write_artifact(path, b"abcdef")
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(artifacts, "open", counting_open, raising=False)
+        assert read_artifact(path) == b"abcdef"
+        assert opened.count(path) == 1
 
     def test_garbage_sidecar_fails_verification(self, tmp_path):
         path = str(tmp_path / "vol.raw")

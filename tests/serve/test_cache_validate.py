@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.serve import (
     ChunkStore,
@@ -77,6 +79,47 @@ class TestLRUSemantics:
         c = cache.counters()
         assert c["accesses"] == 1 and c["misses"] == 1
         assert c["capacity"] == 2 and c["resident"] == 1
+
+
+class TestRuns:
+    """``get(key, load, n)`` counts as ``n`` back-to-back gets."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(runs=st.lists(st.tuples(st.integers(0, 6), st.integers(1, 4)),
+                         max_size=30),
+           capacity=st.integers(1, 4))
+    def test_run_equals_repeated_gets(self, runs, capacity):
+        run_loads, single_loads = [], []
+        runs_cache, single_cache = LRUCache(capacity), LRUCache(capacity)
+        for key, n in runs:
+            runs_cache.get(key, lambda k: run_loads.append(k) or k, n)
+            for _ in range(n):
+                single_cache.get(key,
+                                 lambda k: single_loads.append(k) or k)
+        assert runs_cache.counters() == single_cache.counters()
+        assert runs_cache.access_log == single_cache.access_log
+        assert run_loads == single_loads
+        assert list(runs_cache._slots) == list(single_cache._slots)
+
+    def test_nocache_loads_once_per_access(self):
+        cache, loads = NoCache(), []
+        cache.get(3, lambda k: loads.append(k) or k, 4)
+        assert loads == cache.access_log == [3, 3, 3, 3]
+        assert (cache.accesses, cache.hits, cache.misses) == (4, 0, 4)
+
+    @pytest.mark.parametrize("make", [lambda: LRUCache(2), NoCache],
+                             ids=["lru", "none"])
+    def test_failed_load_leaves_no_trace(self, make):
+        cache = make()
+        cache.get(1, lambda k: k, 2)
+        before = (cache.counters(), list(cache.access_log))
+
+        def broken(key):
+            raise RuntimeError("read failed")
+
+        with pytest.raises(RuntimeError):
+            cache.get(2, broken, 3)
+        assert (cache.counters(), cache.access_log) == before
 
 
 class TestCrossCheck:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import glob
 import os
 
@@ -40,6 +41,14 @@ def replicated(tmp_path, dense):
     """A 2-way replicated store over 4 shards (32 segments, 8 per shard)."""
     return ChunkStore.create(os.path.join(tmp_path, "s"), dense, chunk=4,
                              chunks_per_segment=2, replicas=2, shards=4)
+
+
+@pytest.fixture(params=["serve", "query"])
+def answer(request):
+    """Answer one query through the sync or the async entry point."""
+    if request.param == "serve":
+        return lambda server, q: server.serve(q)
+    return lambda server, q: asyncio.run(server.query(q))
 
 
 @pytest.fixture(autouse=True)
@@ -188,13 +197,13 @@ class TestDeadline:
         with pytest.raises(DeadlineExceeded, match="deadline"):
             d.check()
 
-    def test_deadline_miss_returns_typed_rejection(self, replicated):
+    def test_deadline_miss_returns_typed_rejection(self, replicated, answer):
         server = VolumeServer(
             replicated, cache="lru:capacity=4",
             reliability=ReliabilityConfig(
                 deadline_s=1e-9,
                 retry=RetryPolicy(max_retries=1, backoff_base=0.0)))
-        res = server.serve(BBoxQuery((0, 0, 0), SHAPE))
+        res = answer(server, BBoxQuery((0, 0, 0), SHAPE))
         assert isinstance(res, QueryRejected)
         assert not res.ok
         assert res.reason == "deadline"
@@ -209,7 +218,7 @@ class TestDeadline:
 
 class TestRetries:
     def test_transient_failure_retried_to_success(self, replicated,
-                                                  monkeypatch):
+                                                  monkeypatch, answer):
         server = VolumeServer(
             replicated, cache="lru:capacity=4",
             reliability=ReliabilityConfig(
@@ -224,15 +233,17 @@ class TestRetries:
             return real(seg)
 
         monkeypatch.setattr(server, "_load_segment", flaky)
-        res = server.serve(BBoxQuery((0, 0, 0), (8, 8, 8)))
+        res = answer(server, BBoxQuery((0, 0, 0), (8, 8, 8)))
         assert res.ok
         assert res.attempts == 2
-        # the aborted access was rolled back, so the cache's log still
-        # replays exactly through memsim
+        # the cache records an access only once its load returns, so
+        # the failed load left no trace and the log still replays
+        # exactly through memsim
         check = cache_crosscheck(server.cache)
         assert check.consistent, check.mismatches()
 
-    def test_permanent_failure_not_retried(self, replicated, monkeypatch):
+    def test_permanent_failure_not_retried(self, replicated, monkeypatch,
+                                           answer):
         server = VolumeServer(
             replicated, cache="lru:capacity=4",
             reliability=ReliabilityConfig(
@@ -242,7 +253,7 @@ class TestRetries:
             raise ValueError("deterministically wrong")
 
         monkeypatch.setattr(server, "_load_segment", broken)
-        res = server.serve(BBoxQuery((0, 0, 0), (8, 8, 8)))
+        res = answer(server, BBoxQuery((0, 0, 0), (8, 8, 8)))
         assert isinstance(res, QueryRejected)
         assert res.reason == "error"
         assert res.attempts == 1  # ValueError is permanent: no retry
