@@ -17,7 +17,9 @@ whole project now routes through:
 * :func:`verify_artifact` / :func:`read_artifact` — verification on
   read: a mismatch **quarantines** the artifact (renamed aside to
   ``<path>.corrupt``) and raises :class:`ArtifactIntegrityError` with a
-  clear message — a corrupt artifact is never silently reread;
+  clear message — a corrupt artifact is never silently reread.  A
+  reader that already holds an artifact's record passes it as
+  ``read_artifact(..., record=)`` and skips the sidecar, never the hash;
 * deterministic disk faults (``enospc@i`` / ``eio@i`` / ``torn@i`` /
   ``bitflip@i``, see :mod:`repro.resilience.faults`) hook in here, so
   the chaos tests can prove all of the above actually engages.
@@ -37,7 +39,7 @@ import hashlib
 import json
 import os
 import tempfile
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from . import faults as _faults
 
@@ -97,10 +99,20 @@ class ArtifactIntegrityError(RuntimeError):
             f"{where}; re-create the artifact — it will not be reread")
 
 
+_trace = None
+
+
 def _count(name: str, value: int = 1) -> None:
-    """Accumulate a tracer counter (lazy import — no cycle, no numpy)."""
-    from ..instrument import trace
-    trace.add(name, value)
+    """Accumulate a tracer counter (lazy import — no cycle, no numpy).
+
+    The tracer module is looked up once, not per call: this runs on
+    every verified read.
+    """
+    global _trace
+    if _trace is None:
+        from ..instrument import trace
+        _trace = trace
+    _trace.add(name, value)
 
 
 def take_write_fault() -> Optional[_faults.FaultSpec]:
@@ -324,18 +336,21 @@ def quarantine_artifact(path: str, problem: str) -> Optional[str]:
 
 
 def _read_verified(path: str, *, quarantine: bool,
-                   require_sidecar: bool
-                   ) -> Tuple[Optional[Dict[str, Any]], Optional[bytes]]:
-    """Read ``path`` once and check those bytes against its sidecar.
+                   require_sidecar: bool,
+                   record: Optional[Mapping[str, Any]] = None
+                   ) -> Tuple[Optional[Mapping[str, Any]], Optional[bytes]]:
+    """Read ``path`` once and check those bytes against an integrity record.
 
-    Returns ``(record, data)``: the sidecar record and the very bytes
-    whose length and SHA-256 matched it, or ``(None, None)`` — nothing
-    read — when the artifact has no sidecar (a legacy file, tolerated
-    unless ``require_sidecar``).  On any mismatch the artifact is
-    renamed aside (when ``quarantine``) and
-    :class:`ArtifactIntegrityError` is raised.
+    The record is ``record`` when given, else the artifact's sidecar.
+    Returns ``(record, data)``: the record and the very bytes whose
+    length and SHA-256 matched it, or ``(None, None)`` — nothing read —
+    when the artifact has no sidecar (a legacy file, tolerated unless
+    ``require_sidecar``).  On any mismatch the artifact is renamed
+    aside (when ``quarantine``) and :class:`ArtifactIntegrityError` is
+    raised.
     """
-    record = read_sidecar(path)
+    if record is None:
+        record = read_sidecar(path)
     if record is None:
         if require_sidecar:
             raise ArtifactIntegrityError(path, "no integrity sidecar")
@@ -378,17 +393,25 @@ def verify_artifact(path: str, *, quarantine: bool = True,
 
 
 def read_artifact(path: str, *, verify: bool = True,
-                  require_sidecar: bool = False) -> bytes:
+                  require_sidecar: bool = False,
+                  record: Optional[Mapping[str, Any]] = None) -> bytes:
     """Read an artifact's bytes, verified against the sidecar.
 
     The file is opened once: the bytes returned are the bytes whose
     length and SHA-256 were checked.
+
+    ``record`` — an integrity record the caller already holds for this
+    artifact (its ``bytes`` and ``sha256``, as :func:`read_sidecar`
+    returned them when the artifact last verified).  The bytes are then
+    checked against it and the sidecar is not opened; a mismatch
+    quarantines and raises exactly as a sidecar mismatch does.
     """
     path = os.fspath(path)
     data = None
     if verify:
         data = _read_verified(path, quarantine=True,
-                              require_sidecar=require_sidecar)[1]
+                              require_sidecar=require_sidecar,
+                              record=record)[1]
     if data is None:
         with open(path, "rb") as fh:
             data = fh.read()

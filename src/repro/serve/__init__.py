@@ -18,11 +18,13 @@ space to a storage-and-query service:
   per-query deadlines, retries, hedged reads, per-shard circuit
   breakers and bounded admission with typed load-shedding
   (``docs/SERVING.md`` § Serving reliability);
+* :mod:`~repro.serve.placement` — the curve-range shard placement
+  (:class:`~repro.serve.placement.ShardMap`): the store's static
+  placement and every version of a cluster's map;
 * :mod:`~repro.serve.cluster` — the elastic tier on top: versioned
-  curve-range shard maps (:class:`~repro.serve.cluster.ShardMap`),
-  deterministic event-count failure detection, budgeted rebalancing
-  that re-replicates through the read-repair path while the old map
-  keeps serving, and an anti-entropy scrubber
+  shard maps, deterministic event-count failure detection, budgeted
+  rebalancing that re-replicates through the read-repair path while
+  the old map keeps serving, and an anti-entropy scrubber
   (``docs/SERVING.md`` § Elastic sharding);
 * :mod:`~repro.serve.traffic` — seeded synthetic sessions (Zipf
   viewpoints, orbit sweeps, burst arrivals);
@@ -44,10 +46,10 @@ from .cluster import (
     RebalanceComparison,
     Scrubber,
     ShardCluster,
-    ShardMap,
     compare_rebalance,
 )
 from .fuzz import ScheduleFuzzer
+from .placement import ShardMap
 from .reliability import (
     CircuitBreaker,
     Deadline,

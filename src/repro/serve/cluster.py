@@ -12,11 +12,11 @@ deterministic and clock-free so a chaos run replays exactly:
   returning shard walks a ``join_after``-tick *joining* grace before
   it is live again — the same denial-counting discipline as the
   PR-8 circuit breaker.
-* :class:`ShardMap` — a **versioned**, pure-function placement: given
-  the live-shard set, segment ``s``'s copies sit on the first
-  ``replicas`` live shards walking the ring from the canonical
-  primary ``s * ring // n_segments``.  With every shard live this is
-  bit-for-bit the store's static placement, and primaries remain
+* :class:`~repro.serve.placement.ShardMap` — a **versioned**,
+  pure-function placement: given the live-shard set, segment ``s``'s
+  copies sit on the first ``replicas`` live shards walking the ring
+  from the canonical primary ``s * ring // n_segments``.  With every
+  shard live it *is* the store's static placement, and primaries remain
   **contiguous curve-segment ranges** — the SFC property the paper's
   argument rides on (Walker & Skjellum, arXiv:2307.07828): a
   membership change moves only the dead/joined shard's contiguous
@@ -42,7 +42,6 @@ run with the exact memsim crosscheck intact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -51,113 +50,18 @@ from ..distributed.decomposition import CartesianGridPartition
 from ..instrument import trace as _trace
 from ..resilience import artifacts as _artifacts
 from ..resilience import faults as _faults
+from .placement import ShardMap
 from .reliability import ReliabilityConfig
 from .server import VolumeServer
 from .store import ChunkStore
 
 __all__ = [
     "FailureDetector",
-    "ShardMap",
     "RebalanceComparison",
     "Scrubber",
     "ShardCluster",
     "compare_rebalance",
 ]
-
-
-# -- versioned placement ------------------------------------------------------
-
-@dataclass(frozen=True)
-class ShardMap:
-    """One version of the segment-range → shard placement.
-
-    A pure function of the live set: no state, so any two nodes (or
-    any two runs) with the same membership compute the same map.
-    ``replicas_of`` walks the shard ring from the canonical primary
-    and takes the first ``replicas`` live shards — with all shards
-    live that *is* the store's static placement, and on a membership
-    change only segments whose walk crossed the changed shard move.
-    """
-
-    version: int
-    n_segments: int
-    ring: int                  # total shard slots (store.shards)
-    replicas: int
-    live: Tuple[int, ...]      # sorted live shard ids
-
-    def __post_init__(self):
-        if not self.live:
-            raise ValueError("a shard map needs at least one live shard")
-        if any(not 0 <= s < self.ring for s in self.live):
-            raise ValueError(f"live shards {self.live} outside ring "
-                             f"0..{self.ring - 1}")
-        if tuple(sorted(set(self.live))) != self.live:
-            raise ValueError(f"live shards must be sorted and unique, "
-                             f"got {self.live}")
-
-    @classmethod
-    def for_members(cls, store: ChunkStore, version: int,
-                    members: Sequence[int]) -> "ShardMap":
-        """The map ``version`` for live set ``members`` over ``store``."""
-        return cls(version=version, n_segments=store.n_segments,
-                   ring=store.shards, replicas=store.replicas,
-                   live=tuple(sorted(set(int(s) for s in members))))
-
-    @classmethod
-    def initial(cls, store: ChunkStore) -> "ShardMap":
-        """Version 0: every shard live (the static placement)."""
-        return cls.for_members(store, 0, range(store.shards))
-
-    def replicas_of(self, seg: int) -> Tuple[int, ...]:
-        """Shards holding segment ``seg``, primary first."""
-        live = set(self.live)
-        want = min(self.replicas, len(self.live))
-        start = seg * self.ring // max(1, self.n_segments)
-        out: List[int] = []
-        for k in range(self.ring):
-            s = (start + k) % self.ring
-            if s in live:
-                out.append(s)
-                if len(out) == want:
-                    break
-        return tuple(out)
-
-    def primary_of(self, seg: int) -> int:
-        return self.replicas_of(seg)[0]
-
-    @cached_property
-    def _placements(self) -> FrozenSet[Tuple[int, int]]:
-        return frozenset((seg, s) for seg in range(self.n_segments)
-                         for s in self.replicas_of(seg))
-
-    def placements(self) -> FrozenSet[Tuple[int, int]]:
-        """Every ``(segment, shard)`` copy this map calls for."""
-        return self._placements
-
-    def segments_of(self, shard: int) -> List[int]:
-        """Segments with a copy on ``shard`` (any replica role)."""
-        return sorted(seg for seg, s in self.placements() if s == shard)
-
-    def primary_ranges(self) -> List[Tuple[int, int, int]]:
-        """Contiguous primary runs as ``(shard, start, stop)`` triples.
-
-        The SFC property made visible: each run is a contiguous span
-        of the curve order, so the list has at most one run per live
-        shard (plus a possible ring wrap).
-        """
-        runs: List[Tuple[int, int, int]] = []
-        for seg in range(self.n_segments):
-            p = self.primary_of(seg)
-            if runs and runs[-1][0] == p and runs[-1][2] == seg:
-                runs[-1] = (p, runs[-1][1], seg + 1)
-            else:
-                runs.append((p, seg, seg + 1))
-        return runs
-
-    def moved_from(self, old: "ShardMap") -> FrozenSet[Tuple[int, int]]:
-        """Copies this map calls for that ``old`` did not — the
-        segment copies a rebalance must (re)place."""
-        return self.placements() - old.placements()
 
 
 # -- strawman comparison ------------------------------------------------------
@@ -319,6 +223,9 @@ class Scrubber:
     def __init__(self, cluster: "ShardCluster"):
         self.cluster = cluster
         self._cursor = 0
+        # the sorted work list, rebuilt only when its inputs change
+        self._work: List[Tuple[int, int]] = []
+        self._work_of: Optional[Tuple[ShardMap, FrozenSet[int]]] = None
         self.checked = 0
         self.repaired = 0
         self.divergent = 0
@@ -328,9 +235,13 @@ class Scrubber:
         cl = self.cluster
         if budget <= 0:
             return
-        alive = {s for s, st in cl.detector.state.items() if st == "alive"}
-        work = sorted((seg, s) for seg, s in cl.map.placements()
-                      if s in alive)
+        alive = frozenset(s for s, st in cl.detector.state.items()
+                          if st == "alive")
+        if self._work_of != (cl.map, alive):
+            self._work = sorted((seg, s) for seg, s in cl.map.placements()
+                                if s in alive)
+            self._work_of = (cl.map, alive)
+        work = self._work
         if not work:
             return
         for _ in range(budget):
@@ -342,16 +253,15 @@ class Scrubber:
             self._cursor += 1
             self._check(seg, shard, alive)
 
-    def _check(self, seg: int, shard: int, alive: Set[int]) -> None:
+    def _check(self, seg: int, shard: int, alive: FrozenSet[int]) -> None:
         cl = self.cluster
         store = cl.store
-        path = store.path_on_shard(seg, shard)
         self.checked += 1
         _trace.add("serve.scrub_checked", 1)
         placements = cl.map.replicas_of(seg)
         peers = [s for s in placements if s != shard and s in alive]
         try:
-            record = _artifacts.verify_artifact(path, require_sidecar=True)
+            record = store.verify_copy(seg, shard)
         except (_artifacts.ArtifactIntegrityError, OSError):
             self._repair_from(seg, shard, peers)
             return
@@ -422,7 +332,7 @@ class ShardCluster:
         self.detector = FailureDetector(
             range(store.shards), suspect_after=suspect_after,
             dead_after=dead_after, join_after=join_after)
-        self.map = ShardMap.initial(store)
+        self.map = store.placement
         self.target: Optional[ShardMap] = None
         self.rebalance_budget = rebalance_budget
         self.scrub_budget = scrub_budget
@@ -432,8 +342,7 @@ class ShardCluster:
         self.down = store.down_shards
         # on-disk copies per segment (survives outages; see docstring)
         self.placed: Dict[int, Set[int]] = {
-            seg: {store.shard_of_segment(seg, r)
-                  for r in range(store.replicas)}
+            seg: set(self.map.replicas_of(seg))
             for seg in range(store.n_segments)}
         self._pending_moves: List[Tuple[int, int]] = []
         self.events = 0
@@ -588,19 +497,19 @@ class ShardCluster:
         Candidates are the serving map's placements (old version until
         cutover) followed by any other on-disk copies — so a query
         mid-migration fails over from a dead primary to whichever
-        sibling or freshly-moved copy verifies.  The store's
-        ``locations`` path does the sidecar verification, read-repair
-        and (last-resort) rebuild; a wrong byte is never returned.
+        sibling or freshly-moved copy verifies.  The store's read path
+        does the verification, read-repair and (last-resort) rebuild;
+        a wrong byte is never returned.
         """
-        primary = list(self.map.replicas_of(seg))
-        extras = sorted(self.placed.get(seg, set()) - set(primary))
+        shards = self.map.replicas_of(seg)
+        extras = self.placed[seg].difference(shards)
+        if extras:
+            shards += tuple(sorted(extras))
         rebuilt_before = self.store.segments_rebuilt
-        arr = self.store.read_segment(seg, policy=policy,
-                                      locations=primary + extras)
+        arr = self.store.read_segment(seg, policy=policy, locations=shards)
         if self.store.segments_rebuilt != rebuilt_before:
             # the store rebuilt onto the reachable candidates
-            self.placed[seg].update(
-                s for s in primary + extras if s not in self.down)
+            self.placed[seg].update(s for s in shards if s not in self.down)
         return arr
 
     # -- health ---------------------------------------------------------------

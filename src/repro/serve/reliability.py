@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ..instrument import trace as _trace
 from ..resilience.policy import RetryPolicy
@@ -237,34 +237,18 @@ class ReadPolicy:
         if self.deadline is not None:
             self.deadline.check()
 
-    def order_shards(self, shards: List[int]) -> List[int]:
-        """Shard-keyed twin of :meth:`replica_order` for map-routed
-        reads (:meth:`~repro.serve.store.ChunkStore.read_segment` with
-        ``locations``): when hedging is on and the primary shard was
-        recently observed slow, one slow-mark is consumed and the list
-        rotates so the next copy goes first.
+    def order_shards(self, shards: Sequence[int]) -> List[int]:
+        """The order to try ``shards`` (placement order, primary first)
+        for one :meth:`~repro.serve.store.ChunkStore.read_segment`.
+
+        When hedging is on and the primary shard was recently observed
+        slow, one slow-mark is consumed and the list rotates so the
+        next copy goes first — the hedged read — while the primary
+        stays available as failover.
         """
         if self.config.hedge and len(shards) > 1 \
                 and self.slow_shards.get(shards[0], 0) > 0:
             self.slow_shards[shards[0]] -= 1
             _trace.add("serve.reliability_hedges", 1)
-            return shards[1:] + shards[:1]
+            return [*shards[1:], shards[0]]
         return list(shards)
-
-    def replica_order(self, store, seg: int) -> List[int]:
-        """Replica indexes to try for ``seg``, hedged when warranted.
-
-        Default order is 0..replicas-1.  When hedging is on and the
-        primary's shard was recently observed slow, one slow-mark is
-        consumed and the order is rotated so the secondary goes first —
-        the hedged read — while the primary stays available as
-        failover.
-        """
-        order = list(range(store.replicas))
-        if self.config.hedge and store.replicas > 1:
-            primary = store.shard_of_segment(seg, 0)
-            if self.slow_shards.get(primary, 0) > 0:
-                self.slow_shards[primary] -= 1
-                _trace.add("serve.reliability_hedges", 1)
-                order = order[1:] + order[:1]
-        return order

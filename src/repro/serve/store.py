@@ -27,12 +27,13 @@ directories, and with ``replicas > 1`` every segment is written to
       shard-01/seg-00000.bin    — replica 1
       ...
 
-Placement is **keyed by curve-segment ranges**: segment ``s``'s
-primary shard is ``s * shards // n_segments`` — a contiguous span of
-the curve order per shard — and replica ``r`` lands ``r`` shards
-further around the ring.  Spatially-close chunks therefore share not
-just segments but shards, so a regional traffic spike maps to
-contiguous shards (ROADMAP item 5's decomposition, served).
+Placement is **keyed by curve-segment ranges**: the store's static
+placement is the all-live :class:`~repro.serve.placement.ShardMap`,
+under which segment ``s``'s primary shard is ``s * shards //
+n_segments`` — a contiguous span of the curve order per shard — and
+replica ``r`` lands ``r`` shards further around the ring.
+Spatially-close chunks therefore share not just segments but shards,
+so a regional traffic spike maps to contiguous shards.
 
 Chunks are grouped into fixed-size **segments** — the store's unit of
 I/O, caching and now replication, the way cache lines group words.  A
@@ -42,11 +43,15 @@ becomes bytes: spatially-close chunks share segments under
 Morton/Hilbert order and scatter across them under row-major order.
 
 Every write goes through :mod:`repro.resilience.artifacts` (atomic
-replace + SHA-256 sidecar); a replica that rots on disk is quarantined
-on read, served from the next replica (then **read-repaired** — the
-good bytes are durably rewritten over the bad copy), and only when
-every replica fails is the segment rebuilt from the ``origin`` volume.
-A wrong byte is never returned.
+replace + SHA-256 sidecar).  Every read hashes the bytes it returns:
+the first read of a copy in a process checks them against the copy's
+sidecar and keeps that record (length + digest) in memory, later reads
+check against the kept record without opening the sidecar, and any
+write to the copy drops it.  A replica that rots on disk (or goes
+missing) is quarantined on read, served from the next replica (then
+**read-repaired** — the good bytes are durably rewritten over the bad
+copy), and only when every replica fails is the segment rebuilt from
+the ``origin`` volume.  A wrong byte is never returned.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,6 +67,7 @@ from ..core.registry import make_layout
 from ..instrument import trace as _trace
 from ..resilience import artifacts as _artifacts
 from ..resilience import faults as _faults
+from .placement import ShardMap
 
 __all__ = ["ChunkStore", "chunk_placement", "STORE_SCHEMA_VERSION"]
 
@@ -143,6 +149,17 @@ class ChunkStore:
             raise ValueError(
                 f"replicas ({self.replicas}) must not exceed shards "
                 f"({self.shards}): copies must land on distinct shards")
+        #: the static placement; a cluster versions it (ShardCluster.map)
+        self.placement = ShardMap.initial(self)
+        # a copy's path is its shard's directory prefix + segment name
+        dirs = [f"shard-{s:02d}" for s in range(self.shards)] \
+            if self.shards > 1 else [""]
+        self._shard_dirs = tuple(os.path.join(self.path, d, "")
+                                 for d in dirs)
+        # path -> the {bytes, sha256} record the copy's sidecar held when
+        # the copy last verified in this process; dropped on every write
+        # to (or quarantine of) the path
+        self._records: Dict[str, Dict[str, object]] = {}
         self.segments_rebuilt = 0
         self.read_repairs = 0
         self.failovers = 0
@@ -212,12 +229,9 @@ class ChunkStore:
         store = cls(path, meta, origin=dense)
         for seg in range(store.n_segments):
             payload = store._segment_payload(dense, seg)
-            for r in range(store.replicas):
-                replica_path = store._replica_path(seg, r)
-                os.makedirs(os.path.dirname(replica_path), exist_ok=True)
-                _artifacts.write_artifact(
-                    replica_path, payload,
-                    kind=_SEGMENT_KIND, schema_version=STORE_SCHEMA_VERSION)
+            for shard in store.placement.replicas_of(seg):
+                store._write_segment_copy(store.path_on_shard(seg, shard),
+                                          payload)
         _artifacts.write_text_artifact(
             os.path.join(path, _META_NAME),
             json.dumps(meta, sort_keys=True) + "\n",
@@ -323,14 +337,13 @@ class ChunkStore:
     def shard_of_segment(self, seg: int, replica: int = 0) -> int:
         """Simulated shard holding replica ``replica`` of segment ``seg``.
 
-        Primaries partition the curve order into contiguous
-        curve-segment ranges (shard ``s * shards // n_segments``);
-        replica ``r`` sits ``r`` shards further around the ring, so
-        with ``replicas <= shards`` every copy lands on a distinct
-        shard and one dead shard never takes out a whole segment.
+        Read off the static :attr:`placement`: primaries partition the
+        curve order into contiguous curve-segment ranges, replica ``r``
+        sits ``r`` shards further around the ring, so with ``replicas
+        <= shards`` every copy lands on a distinct shard and one dead
+        shard never takes out a whole segment.
         """
-        primary = seg * self.shards // max(1, self.n_segments)
-        return (primary + replica) % self.shards
+        return self.placement.replicas_of(seg)[replica]
 
     def path_on_shard(self, seg: int, shard: int) -> str:
         """Where a copy of segment ``seg`` lives on shard ``shard``.
@@ -339,10 +352,7 @@ class ChunkStore:
         place new copies as the shard map moves.  Unsharded stores keep
         the flat legacy path.
         """
-        name = f"seg-{seg:05d}.bin"
-        if self.shards == 1:
-            return os.path.join(self.path, name)
-        return os.path.join(self.path, f"shard-{shard:02d}", name)
+        return f"{self._shard_dirs[shard]}seg-{seg:05d}.bin"
 
     def _replica_path(self, seg: int, replica: int) -> str:
         """On-disk path of one replica (flat layout when unsharded)."""
@@ -378,17 +388,14 @@ class ChunkStore:
                 f"origin shape {dense.shape} != store shape {self.shape}")
         return dense
 
-    def rebuild_segment(self, seg: int,
-                        quarantined: Optional[str] = None,
-                        shards: Optional[Sequence[int]] = None) -> None:
-        """Re-pack segment ``seg`` from the origin and rewrite *every*
-        replica durably.
+    def rebuild_segment(self, seg: int, shards: Sequence[int],
+                        quarantined: Optional[str] = None) -> None:
+        """Re-pack segment ``seg`` from the origin and durably rewrite
+        its copy on every shard in ``shards``.
 
         ``quarantined`` — where the artifact layer moved the corrupt
         evidence, recorded on the trace span so a post-mortem can go
         from "segment N was rebuilt" straight to the rotted bytes.
-        ``shards`` — rebuild onto these shards instead of the static
-        replica placement (a cluster's versioned map).
         """
         if self._origin is None:
             raise RuntimeError(
@@ -397,22 +404,20 @@ class ChunkStore:
         with _trace.span("serve.rebuild_segment", segment=seg,
                          quarantined=quarantined or ""):
             payload = self._segment_payload(self._origin_dense(), seg)
-            if shards is not None:
-                paths = [self.path_on_shard(seg, s) for s in shards]
-            else:
-                paths = [self._replica_path(seg, r)
-                         for r in range(self.replicas)]
-            for replica_path in paths:
-                os.makedirs(os.path.dirname(replica_path), exist_ok=True)
-                _artifacts.write_artifact(
-                    replica_path, payload,
-                    kind=_SEGMENT_KIND, schema_version=STORE_SCHEMA_VERSION)
+            for shard in shards:
+                self._write_segment_copy(self.path_on_shard(seg, shard),
+                                         payload)
                 _trace.add("resilience.artifacts_rebuilt", 1)
             self.segments_rebuilt += 1
             _trace.add("serve.segments_rebuilt", 1)
 
     def _write_segment_copy(self, path: str, payload: bytes) -> None:
-        """One durable segment write (atomic replace + sidecar)."""
+        """One durable segment write (atomic replace + sidecar).
+
+        The copy's kept record is dropped first, so the next read
+        checks the new bytes against the new sidecar.
+        """
+        self._records.pop(path, None)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         _artifacts.write_artifact(
             path, payload,
@@ -433,10 +438,20 @@ class ChunkStore:
         self.read_repairs += 1
         _trace.add("serve.reliability_read_repairs", 1)
 
-    def repair_replica(self, seg: int, replica: int, payload: bytes) -> None:
-        """Read-repair: durably rewrite a failed replica from known-good
-        bytes another replica just served (sidecar included)."""
-        self._repair_copy(self._replica_path(seg, replica), payload)
+    def verify_copy(self, seg: int, shard: int) -> dict:
+        """The scrubber's at-rest check of one copy; returns its sidecar.
+
+        Unlike a read it always opens the sidecar, so a sidecar that
+        rotted after the copy's record was kept is caught here.  A copy
+        that fails is quarantined by the artifact layer and its kept
+        record dropped, then the failure is raised.
+        """
+        path = self.path_on_shard(seg, shard)
+        try:
+            return _artifacts.verify_artifact(path, require_sidecar=True)
+        except (_artifacts.ArtifactIntegrityError, OSError):
+            self._records.pop(path, None)
+            raise
 
     def read_replica_bytes(self, seg: int,
                            shards: Sequence[int]) -> bytes:
@@ -452,27 +467,51 @@ class ChunkStore:
         last: Optional[Exception] = None
         for shard in shards:
             try:
-                return self._read_replica(self.path_on_shard(seg, shard),
-                                          shard, expected)
+                return self._read_replica(seg, shard, expected)
             except (_artifacts.ArtifactIntegrityError,
                     _faults.InjectedFault, OSError) as exc:
                 last = exc
         raise last if last is not None else _faults.InjectedFault(
             f"segment {seg}: no source shards given")
 
-    def _read_replica(self, path: str, shard: int, expected: int) -> bytes:
+    def _read_copy(self, path: str) -> bytes:
+        """One copy's bytes, hashed and checked before they are returned.
+
+        The check is against the copy's kept record, or — on the first
+        read of the copy in this process, or the first since a write —
+        against its sidecar, whose record is then kept.  A copy that
+        fails is quarantined by the artifact layer and its record
+        dropped.
+        """
+        record = self._records.get(path)
+        cold = record is None
+        if cold:
+            record = _artifacts.read_sidecar(path)
+        try:
+            data = _artifacts.read_artifact(path, record=record)
+        except (_artifacts.ArtifactIntegrityError, OSError):
+            self._records.pop(path, None)
+            raise
+        if cold and record is not None:
+            self._records[path] = {"bytes": record["bytes"],
+                                   "sha256": record["sha256"]}
+        return data
+
+    def _read_replica(self, seg: int, shard: int, expected: int) -> bytes:
         """One verified replica read, with the serve fault hooks applied.
 
         ``shard-down`` faults fire before any byte moves (and consume
         no read index); ``segread-*`` faults key on the process-local
         read index, exactly like disk faults key on the write index.
         Raises :class:`~repro.resilience.artifacts.ArtifactIntegrityError`
-        on corruption (after quarantining) and
-        :class:`~repro.resilience.faults.InjectedFault` on a dead shard.
+        on corruption (after quarantining),
+        :class:`~repro.resilience.faults.InjectedFault` on a dead shard
+        and :class:`OSError` on a copy missing with its sidecar.
         """
         if shard in self.down_shards:
             raise _faults.InjectedFault(
                 f"shard {shard} is down (cluster outage)")
+        path = self.path_on_shard(seg, shard)
         plan = _faults.active_plan()
         if plan:
             down = plan.for_shard(shard)
@@ -485,11 +524,12 @@ class ChunkStore:
                     time.sleep(spec.seconds)
                 elif spec.mode == "segread-corrupt":
                     _artifacts.corrupt_at_rest(path, spec)
-        data = _artifacts.read_artifact(path)
+        data = self._read_copy(path)
         if len(data) != expected:
             # size drift the sidecar did not catch (legacy sidecar-less
             # file): treat as corruption — quarantine and fail over
             problem = f"size {len(data)} B != expected {expected} B"
+            self._records.pop(path, None)
             quarantined = _artifacts.quarantine_artifact(path, problem)
             raise _artifacts.ArtifactIntegrityError(path, problem, quarantined)
         return data
@@ -498,79 +538,66 @@ class ChunkStore:
                      locations: Optional[Sequence[int]] = None) -> np.ndarray:
         """Segment ``seg`` as a ``(n_chunks_in_segment, cx, cy, cz)`` array.
 
-        Bytes are verified against the sidecar on every attempt; the
-        read fails over replica by replica (corrupt copies are
-        quarantined by the artifact layer, dead shards are skipped by
-        the breaker), a success after failures read-repairs the bad
-        replicas, and only when every replica fails is the segment
-        rebuilt from the origin.  A wrong byte is never returned.
+        Bytes are hashed and checked on every attempt (see
+        :meth:`_read_copy`); the read fails over copy by copy (corrupt
+        copies are quarantined by the artifact layer, missing copies
+        skipped, dead shards skipped by the breaker), a success after
+        failures read-repairs the corrupt or missing copies, and only
+        when every copy fails is the segment rebuilt from the origin.
+        A wrong byte is never returned.
+
+        ``locations`` — the shards to read from, in placement order:
+        a cluster's versioned shard map; default the static
+        :attr:`placement`.  A total failure rebuilds onto exactly the
+        reachable subset of them.
 
         ``policy`` — an optional :class:`~repro.serve.reliability.
         ReadPolicy` supplying deadline checks, breaker routing and
-        hedged replica ordering; without one, every replica is tried
-        in placement order.
-
-        ``locations`` — an explicit shard list to read from (a
-        cluster's versioned shard map), overriding the static replica
-        placement.  Corrupt copies among them are read-repaired in
-        place, and a total failure rebuilds onto exactly the reachable
-        subset of those shards.
+        hedged ordering (:meth:`~repro.serve.reliability.ReadPolicy.
+        order_shards`); without one, every shard is tried in order.
         """
         n = self.segment_chunk_count(seg)
         expected = n * self.chunk_bytes
+        placed = self.placement.replicas_of(seg) if locations is None \
+            else locations
+        shards = placed
         if policy is not None:
             policy.check_deadline()
-        if locations is not None:
-            shards = list(locations)
-            if policy is not None:
-                shards = policy.order_shards(shards)
-            attempts = [(s, self.path_on_shard(seg, s)) for s in shards]
-        else:
-            order = policy.replica_order(self, seg) if policy is not None \
-                else range(self.replicas)
-            attempts = [(self.shard_of_segment(seg, r),
-                         self._replica_path(seg, r)) for r in order]
+            shards = policy.order_shards(placed)
         data: Optional[bytes] = None
-        corrupt_paths: List[str] = []
+        bad: List[int] = []   # shards whose copy is corrupt or missing
         quarantined: Optional[str] = None
-        failed = 0
-        for shard, path in attempts:
+        for shard in shards:
             if policy is not None and not policy.allow_shard(shard):
                 _trace.add("serve.reliability_breaker_denied", 1)
                 continue
             started = time.perf_counter()
             try:
-                data = self._read_replica(path, shard, expected)
+                data = self._read_replica(seg, shard, expected)
             except _artifacts.ArtifactIntegrityError as exc:
-                corrupt_paths.append(path)
+                bad.append(shard)
                 quarantined = exc.quarantined_to or quarantined
             except _faults.InjectedFault:
                 pass  # shard outage: the replica's bytes are fine
+            except OSError:
+                bad.append(shard)  # copy missing with its sidecar
             else:
                 if policy is not None:
                     policy.on_success(shard, time.perf_counter() - started)
                 break
-            failed += 1
             if policy is not None:
                 policy.on_failure(shard)
             _trace.add("serve.reliability_failovers", 1)
             self.failovers += 1
         if data is None:
-            # every replica failed or was denied: origin is the truth
-            if locations is not None:
-                reachable = [s for s, _ in attempts
-                             if s not in self.down_shards]
-                targets = reachable or [s for s, _ in attempts]
-                self.rebuild_segment(seg, quarantined=quarantined,
-                                     shards=targets)
-                data = _artifacts.read_artifact(
-                    self.path_on_shard(seg, targets[0]))
-            else:
-                self.rebuild_segment(seg, quarantined=quarantined)
-                data = _artifacts.read_artifact(self._segment_path(seg))
-        elif failed or corrupt_paths:
-            for path in corrupt_paths:
-                self._repair_copy(path, data)
+            # every copy failed or was denied: origin is the truth
+            targets = [s for s in placed if s not in self.down_shards] \
+                or list(placed)
+            self.rebuild_segment(seg, targets, quarantined=quarantined)
+            data = self._read_copy(self.path_on_shard(seg, targets[0]))
+        else:
+            for shard in bad:
+                self._repair_copy(self.path_on_shard(seg, shard), data)
         dt = np.dtype(self.meta["dtype"])
         arr = np.frombuffer(data, dtype=dt).reshape((n,) + self.chunk_shape)
         return arr.astype(self.dtype) if dt != self.dtype else arr

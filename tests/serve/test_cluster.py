@@ -6,6 +6,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.resilience.artifacts import verify_artifact
 from repro.resilience.faults import clear_faults, install_faults
@@ -52,6 +54,26 @@ class TestShardMap:
             assert m.replicas_of(seg) == tuple(
                 store.shard_of_segment(seg, r)
                 for r in range(store.replicas))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_replicas_of_equals_the_ring_walk(self, data):
+        ring = data.draw(st.integers(1, 9), label="ring")
+        replicas = data.draw(st.integers(1, ring), label="replicas")
+        n_segments = data.draw(st.integers(1, 40), label="n_segments")
+        live = data.draw(st.sets(st.integers(0, ring - 1), min_size=1),
+                         label="live")
+        m = ShardMap(version=0, n_segments=n_segments, ring=ring,
+                     replicas=replicas, live=tuple(sorted(live)))
+        for seg in range(n_segments):
+            # reference: walk the ring from the canonical primary
+            start = seg * ring // n_segments
+            walk = [(start + k) % ring for k in range(ring)]
+            want = [s for s in walk if s in live][:replicas]
+            assert m.replicas_of(seg) == tuple(want)
+            if len(live) == ring:  # all live: the closed form
+                assert want == [(start + r) % ring
+                                for r in range(replicas)]
 
     def test_pure_function_of_live_set(self, tmp_path, dense):
         store = make_store(tmp_path, dense)

@@ -11,7 +11,7 @@ import pytest
 
 from repro.instrument import trace
 from repro.instrument.manifest import build_manifest, write_manifest
-from repro.resilience.artifacts import verify_artifact
+from repro.resilience.artifacts import sidecar_path, verify_artifact
 from repro.resilience.faults import clear_faults, install_faults
 from repro.resilience.policy import RetryPolicy
 from repro.serve import (
@@ -130,6 +130,36 @@ class TestFailover:
         assert replicated.read_repairs == 0
         for r in range(2):
             verify_artifact(replicated._replica_path(2, r), quarantine=False)
+
+    def test_missing_primary_fails_over_and_read_repairs(self, replicated,
+                                                         dense):
+        # the data file and its sidecar are both gone (what a scrub
+        # quarantine with no live sibling leaves behind)
+        primary = replicated._replica_path(5, 0)
+        os.remove(primary)
+        os.remove(sidecar_path(primary))
+        want = np.frombuffer(replicated._segment_payload(dense, 5),
+                             dtype=np.float32)
+        got = replicated.read_segment(5)
+        assert np.array_equal(got.ravel(), want)
+        assert replicated.failovers == 1
+        assert replicated.read_repairs == 1
+        assert replicated.segments_rebuilt == 0
+        verify_artifact(primary, quarantine=False)
+
+    def test_missing_primary_does_not_fail_the_query(self, replicated,
+                                                     dense):
+        primary = replicated._replica_path(5, 0)
+        os.remove(primary)
+        os.remove(sidecar_path(primary))
+        server = VolumeServer(replicated, cache="lru:capacity=4",
+                              reliability=ReliabilityConfig())
+        got = server.serve(BBoxQuery((0, 0, 0), SHAPE))
+        assert got.ok, got
+        assert np.array_equal(got.data, dense)
+        assert replicated.failovers == 1
+        assert replicated.read_repairs == 1
+        verify_artifact(primary, quarantine=False)
 
     def test_shard_down_fault_fails_over(self, replicated):
         want = replicated.read_segment(5).copy()
@@ -303,17 +333,20 @@ class TestHedging:
             == replicated.shard_of_segment(1) == 0
         replicated.read_segment(0, policy=policy)  # any read is "slow" at 0s
         assert policy.slow_shards.get(0, 0) == 1
-        order = policy.replica_order(replicated, 1)
+        placed = replicated.placement.replicas_of(1)
+        assert placed == (0, 1)
+        order = policy.order_shards(placed)
         assert order == [1, 0]  # hedged: secondary first
         assert policy.slow_shards[0] == 0  # the mark was consumed
-        order = policy.replica_order(replicated, 1)
+        order = policy.order_shards(placed)
         assert order == [0, 1]  # back to placement order
 
     def test_hedging_off_keeps_placement_order(self, replicated):
         policy = ReadPolicy(ReliabilityConfig())
         replicated.read_segment(0, policy=policy)
         assert policy.slow_shards == {}
-        assert policy.replica_order(replicated, 1) == [0, 1]
+        assert policy.order_shards(replicated.placement.replicas_of(1)) \
+            == [0, 1]
 
 
 class TestManifest:
