@@ -58,7 +58,7 @@ def main() -> None:
     print(f"{'layout':>8}{header}   (capacity in 64B lines)")
     curves = {}
     for name, lines in streams.items():
-        hist = reuse_distance_histogram(lines, method="vectorized")
+        hist = reuse_distance_histogram(lines)
         curves[name] = miss_ratio_curve(hist, capacities)
         row = "".join(f"{m:>9.3f}" for m in curves[name])
         print(f"{name:>8}{row}")

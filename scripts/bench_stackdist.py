@@ -1,15 +1,14 @@
 #!/usr/bin/env python3
-"""Time the stack-distance backend against per-cell vectorized replay.
+"""Time single-pass stack-distance pricing against per-capacity replay.
 
 A capacity sweep over fully-associative LRU caches prices every point
-from ONE reuse-distance pass: the stack backend computes the histogram
+from ONE reuse-distance pass: histogram pricing computes the histogram
 once and reads each capacity's miss count off the cumulative curve,
-where the replay backends must push the whole stream through a separate
-cache per capacity.  This benchmark replays a 64^3 bilateral-filter r3
-pencil stream (the acceptance workload) across a >=8-point capacity
-sweep both ways, checks the miss counts agree bit-for-bit, and gates on
-the single-pass path being at least 10x faster than the summed
-per-capacity vector replays.
+where replay must push the whole stream through a separate cache per
+capacity.  This benchmark runs a 64^3 bilateral-filter r3 pencil stream
+(the acceptance workload) across a >=8-point capacity sweep both ways,
+checks the miss counts agree bit-for-bit, and gates on the single-pass
+path being at least 10x faster than the summed per-capacity replays.
 
 Run:  python scripts/bench_stackdist.py [--shape 64] [--repeat 3]
 """
@@ -53,9 +52,9 @@ def kernel_stream(shape: tuple) -> np.ndarray:
 
 
 def replay_misses(lines: np.ndarray, capacity: int) -> int:
-    """Miss count from one vector replay through a FA-LRU cache."""
+    """Miss count from one replay through a FA-LRU cache."""
     cfg = CacheConfig("FA", capacity * 64, ways=capacity)
-    cache = Cache(cfg, seed=0, backend="vector")
+    cache = Cache(cfg, seed=0)
     cache.access_lines(lines)
     return cache.stats.misses
 
@@ -100,14 +99,14 @@ def main() -> int:
     for c, mr, ms in zip(CAPACITIES, m_replay, m_stack):
         print(f"{c:>9} {mr:>14} {ms:>13}")
     if m_replay.tolist() != m_stack.tolist():
-        print("\nFAIL: stack miss counts diverge from vector replay")
+        print("\nFAIL: stack miss counts diverge from replay")
         return 1
     print("\nmiss counts agree bit-for-bit on every capacity")
 
     speedup = t_replay / t_stack
-    print(f"per-capacity vector replay: {t_replay * 1e3:>8.1f}ms "
+    print(f"per-capacity replay:       {t_replay * 1e3:>8.1f}ms "
           f"({len(CAPACITIES)} replays)")
-    print(f"single-pass stack backend:  {t_stack * 1e3:>8.1f}ms "
+    print(f"single-pass stack pricing: {t_stack * 1e3:>8.1f}ms "
           f"(1 histogram + {len(CAPACITIES)} lookups)")
     print(f"sweep speedup {speedup:.1f}x "
           f"({'PASS' if speedup >= GATE else 'BELOW'} the {GATE:.0f}x "

@@ -8,20 +8,18 @@ cache behaviour for *every* capacity at once — the cleanest way to see
 why a Z-order stream outperforms an array-order stream for neighborhood
 workloads.
 
-Three implementations: a quadratic reference (``method="stack"``), a
-Bennett–Kruskal binary-indexed-tree version (``method="bit"``,
-O(n log n) but per-access Python), and the fully numpy-vectorized
-engine behind the simulator's ``stack`` replay backend
-(``method="vectorized"``, see :mod:`repro.memsim.stackdist`) for
-multi-million-access traces.
+The histogram comes from the single-pass numpy engine in
+:mod:`repro.memsim.stackdist`, which also prices the simulator's LRU
+caches, so multi-million-access traces take one vectorized pass.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Dict, Iterable, Sequence, Union
 
 import numpy as np
+
+from ..memsim.stackdist import stack_distance_histogram
 
 __all__ = [
     "reuse_distance_histogram",
@@ -33,108 +31,16 @@ __all__ = [
 INFINITE_DISTANCE = -1
 
 
-def _reuse_stack(lines: Sequence[int]) -> Counter:
-    """Reference O(n·d) stack simulation."""
-    stack: list = []
-    hist: Counter = Counter()
-    for ln in lines:
-        try:
-            depth = stack.index(ln)
-        except ValueError:
-            hist[INFINITE_DISTANCE] += 1
-            stack.insert(0, ln)
-        else:
-            hist[depth] += 1
-            del stack[depth]
-            stack.insert(0, ln)
-    return hist
-
-
-class _BIT:
-    """Binary indexed tree over positions, counting marked entries."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.tree = [0] * (n + 1)
-
-    def add(self, i: int, delta: int) -> None:
-        i += 1
-        while i <= self.n:
-            self.tree[i] += delta
-            i += i & (-i)
-
-    def prefix(self, i: int) -> int:
-        """Sum of marks at positions 0..i inclusive."""
-        i += 1
-        s = 0
-        while i > 0:
-            s += self.tree[i]
-            i -= i & (-i)
-        return s
-
-
-def _reuse_bit(lines: Sequence[int]) -> Counter:
-    """Bennett–Kruskal: mark each line's latest position in a BIT.
-
-    At access t to line x last seen at position p, the reuse distance is
-    the number of marked positions strictly between p and t — each mark
-    is the latest occurrence of some distinct line.
-    """
-    hist: Counter = Counter()
-    last: Dict[int, int] = {}
-    bit = _BIT(len(lines))
-    for t, ln in enumerate(lines):
-        p = last.get(ln)
-        if p is None:
-            hist[INFINITE_DISTANCE] += 1
-        else:
-            distance = bit.prefix(t - 1) - bit.prefix(p)
-            hist[distance] += 1
-            bit.add(p, -1)
-        bit.add(t, 1)
-        last[ln] = t
-    return hist
-
-
-def _as_sequence(lines: Union[np.ndarray, Iterable[int]]) -> np.ndarray:
-    """One flat int64 view/array of the stream — no triple copy.
-
-    An integer ndarray passes through as (at most) a flattened cast; a
-    list or generator is materialized exactly once.  The reference
-    ``stack``/``bit`` paths then iterate this array directly instead of
-    building a second Python list of boxed ints.
-    """
-    arr = lines if isinstance(lines, np.ndarray) else np.asarray(list(lines))
-    if arr.dtype.kind not in "iu":
-        if arr.size and not np.issubdtype(arr.dtype, np.number):
-            raise TypeError(f"line stream must be integer, got {arr.dtype}")
-        arr = arr.astype(np.int64)
-    return arr.ravel()
-
-
-def reuse_distance_histogram(lines: Union[np.ndarray, Iterable[int]],
-                             method: str = "bit") -> Dict[int, int]:
+def reuse_distance_histogram(lines: Union[np.ndarray, Iterable[int]]
+                             ) -> Dict[int, int]:
     """Histogram {reuse distance: count}; cold misses keyed by −1.
 
     ``lines`` may be any iterable of ints or — preferred for real traces
     — an integer ndarray, which is analyzed without copying the stream.
-    ``method`` is ``"bit"`` (O(n log n), default), ``"vectorized"``
-    (numpy single pass, fastest on large streams), or ``"stack"`` (the
-    quadratic reference used to validate both).
     """
-    seq = _as_sequence(lines)
-    if method == "stack":
-        hist = dict(_reuse_stack(seq.tolist()))
-    elif method == "bit":
-        hist = dict(_reuse_bit(seq.tolist()))
-    elif method == "vectorized":
-        # deferred: memsim.stackdist imports resilience; keep the cheap
-        # analysis module import-light for the bit/stack paths
-        from ..memsim.stackdist import stack_distance_histogram
-        hist = stack_distance_histogram(seq).as_dict()
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return hist
+    if not isinstance(lines, np.ndarray):
+        lines = list(lines)  # np.asarray does not iterate a generator
+    return stack_distance_histogram(lines).as_dict()
 
 
 def miss_ratio_curve(hist: Dict[int, int],

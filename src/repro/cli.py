@@ -524,7 +524,7 @@ def _cmd_analyze(args) -> int:
           f"{trace.n_accesses} accesses, {np.unique(lines).size} lines\n")
     spec = stride_spectrum(lines, line_elems=2, near_elems=64)
     print("stride spectrum:", {k: round(v, 3) for k, v in spec.as_dict().items()})
-    hist = reuse_distance_histogram(lines, method="vectorized")
+    hist = reuse_distance_histogram(lines)
     capacities = [16, 64, 256, 1024]
     mrc = miss_ratio_curve(hist, capacities)
     print("miss-ratio curve:",

@@ -94,8 +94,8 @@ class BilateralCell:
     quantum: int = 256
     cpi_compute: float = 1.0
     #: simulation backend (see :class:`~repro.memsim.engine.SimulationEngine`):
-    #: "auto" prices LRU hierarchies from stack distances, "scalar" and
-    #: "vector" replay; all bit-for-bit equivalent
+    #: "auto" prices LRU hierarchies from stack distances and replays the
+    #: rest, "scalar" always replays; both bit-for-bit equivalent
     backend: str = "auto"
 
     def with_layout(self, layout: str) -> "BilateralCell":
@@ -137,8 +137,8 @@ class VolrendCell:
     cpi_compute: float = 4.0
     early_termination: Optional[float] = None
     #: simulation backend (see :class:`~repro.memsim.engine.SimulationEngine`):
-    #: "auto" prices LRU hierarchies from stack distances, "scalar" and
-    #: "vector" replay; all bit-for-bit equivalent
+    #: "auto" prices LRU hierarchies from stack distances and replays the
+    #: rest, "scalar" always replays; both bit-for-bit equivalent
     backend: str = "auto"
 
     def with_layout(self, layout: str) -> "VolrendCell":

@@ -129,7 +129,7 @@ class PreparedCell:
     the platform's core/thread/line geometry, *not* on its cache sizes.
     Splitting preparation from simulation lets a capacity sweep generate
     each trace once and price every cache geometry from it (see
-    :func:`simulate_prepared` and the ``stack`` backend).
+    :func:`simulate_prepared` and :mod:`repro.memsim.stackdist`).
     """
 
     works: List[ThreadWork]
@@ -363,10 +363,10 @@ def simulate_prepared(cell: Union[BilateralCell, VolrendCell],
                       ) -> CellResult:
     """Simulate already-generated traces and assemble the cell result.
 
-    ``platform``/``backend`` override the cell's own (the fast path
-    re-prices one preparation against many cache geometries with
-    ``backend="stack"``); ``histogram_store`` lets those re-pricings
-    share stack-distance histograms so each trace is analyzed once.
+    ``platform``/``backend`` override the cell's own (the capacity
+    sweep re-prices one preparation against many cache geometries);
+    ``histogram_store`` lets those re-pricings share stack-distance
+    histograms so each trace is analyzed once.
     """
     t0 = time.perf_counter()
     spec = platform if platform is not None else cell.platform

@@ -86,15 +86,15 @@ def _use_capacity_fast_path(base: Cell, axes: Dict[str, Sequence], *,
 
     The fast path runs serially in-process, so the resilience knobs
     (checkpoint/resume/retry/timeout) force the general path; a
-    ``backend`` axis or an explicit replay backend on the base cell
-    means the user wants the replayer.
+    ``backend`` axis or ``backend="scalar"`` on the base cell means the
+    user wants the replayer.
     """
     if timeout is not None or retry is not None \
             or checkpoint is not None or resume:
         return False
     if "platform" not in axes or "backend" in axes:
         return False
-    if base.backend not in ("auto", "stack"):
+    if base.backend != "auto":
         return False
     return _capacity_only_platforms(list(axes["platform"]))
 
@@ -133,7 +133,7 @@ def _run_capacity_sweep(cells: List[Cell],
                              platform=cell.platform.name, seed=cell.seed,
                              config=config_hash(cell),
                              backend="stack") as sp:
-                results[i] = simulate_prepared(cell, prep, backend="stack",
+                results[i] = simulate_prepared(cell, prep,
                                                histogram_store=store)
                 sp.set("wall_seconds", results[i].wall_seconds)
         except Exception as exc:
@@ -173,9 +173,9 @@ def sweep_cells(base: Cell, axes: Dict[str, Sequence],
 
     When a ``platform`` axis varies only cache capacity (every platform
     a single-level fully-associative LRU with identical core/line
-    geometry) and no resilience knob is set, the sweep switches to the
-    ``stack`` backend: each parameter point's trace is generated once
-    and all capacities are priced from one stack-distance histogram.
+    geometry) and no resilience knob is set, the sweep prices in
+    process: each parameter point's trace is generated once and all
+    capacities are priced from one stack-distance histogram.
     Counters are bit-for-bit those of the replayer; runtimes agree to
     float rounding (same cost model, one summation order instead of
     per-quantum).  See docs/SIMULATOR.md.

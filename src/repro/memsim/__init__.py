@@ -26,13 +26,7 @@ Public surface:
 """
 
 from .address import AddressSpace
-from .cache import (
-    Cache,
-    CacheConfig,
-    CacheStats,
-    REPLACEMENT_POLICIES,
-    REPLAY_BACKENDS,
-)
+from .cache import Cache, CacheConfig, CacheStats, REPLACEMENT_POLICIES
 from .cost import CostModel
 from .energy import DEFAULT_ACCESS_ENERGY_NJ, EnergyModel, energy_of_result
 from .gpu import (
@@ -103,7 +97,6 @@ __all__ = [
     "PrefetchConfig",
     "StreamPrefetcher",
     "REPLACEMENT_POLICIES",
-    "REPLAY_BACKENDS",
     "SanitizeViolation",
     "ServiceCounts",
     "SimResult",

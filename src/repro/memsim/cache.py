@@ -13,31 +13,16 @@ output pencils/pixels which the paper's counters — L3 total cache
 accesses, L2 data *read* miss — do not emphasize).  Write traffic can be
 fed through the same ``access_lines`` if desired.
 
-Replay backends
----------------
-Two interchangeable, bit-for-bit-equivalent replay implementations:
-
-``scalar``
-    The original per-access Python loop over per-set lists.  Simple,
-    obviously correct, and the reference oracle for the equivalence
-    suite.  Fastest when the cache has very few sets (the heavily
-    ``scaled()`` experiment geometries), where batch partitioning has
-    nothing to fan out over.
-``vector``
-    Batched numpy replay in two phases.  A *collapse* prefilter first
-    removes every access whose previous same-set access was the same
-    line — a guaranteed hit that provably changes no policy's state
-    (LRU re-touches the MRU way, FIFO/random ignore hits, the PLRU
-    steering update is idempotent) — which on stencil streams strips
-    95%+ of the batch with a handful of array ops.  The small residual
-    is then replayed in *rounds*: round ``r`` applies the ``r``-th
-    surviving access of every touched set in one fused gather/scatter
-    (each round touches a set at most once, so the transition is
-    conflict-free).  State lives in a dense ``(n_sets, ways)`` tag
-    matrix (recency-ordered for LRU/FIFO, way-indexed for PLRU).
-``auto``
-    Picks ``vector`` when the geometry is wide enough for the fan-out
-    to pay (``n_sets >= 64``), else ``scalar``.
+Replay
+------
+Every policy but ``direct`` replays one access at a time over per-set
+Python lists: resident lines in recency or insertion order for LRU,
+FIFO and random, way-indexed lines plus the tree bits for PLRU.  The
+engine prices cold runs on LRU hierarchies from stack distances
+(:mod:`repro.memsim.stackdist`) without touching a cache, so replay
+serves non-LRU, prefetching, inclusive and warm runs and the engine's
+``backend="scalar"`` oracle; in the repo's tables every replayed cache
+has at most 256 sets.
 
 Random replacement draws victims from a counter-based keyed hash
 (splitmix64 over ``(seed, set, eviction ordinal)``), not from a
@@ -45,35 +30,21 @@ stateful RNG stream: victim choices therefore depend only on the
 per-set eviction history — never on how the trace was chunked into
 ``access_lines`` calls (the engine's interleaving quantum) or on any
 global RNG state — which keeps multi-process experiment replays
-reproducible run-to-run and lets both backends agree bit-for-bit.
+reproducible run-to-run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
 from ..core.bits import ilog2, is_power_of_two
 
-__all__ = ["CacheConfig", "CacheStats", "Cache", "REPLACEMENT_POLICIES",
-           "REPLAY_BACKENDS"]
+__all__ = ["CacheConfig", "CacheStats", "Cache", "REPLACEMENT_POLICIES"]
 
 REPLACEMENT_POLICIES = ("lru", "fifo", "plru", "random", "direct")
-REPLAY_BACKENDS = ("scalar", "vector", "auto")
-
-#: ``backend="auto"`` switches to the vectorized replay at this set
-#: count: below it, per-round batches are too small for numpy-call
-#: overhead to amortize and the plain Python loop wins.
-_AUTO_MIN_SETS = 64
-
-#: After the collapse prefilter, replay the residual with a plain
-#: per-access loop when the average round would be narrower than this.
-#: A round costs ~15us of fixed numpy-call overhead regardless of
-#: width, a looped access ~0.3us, so skewed residuals (few sets, deep
-#: per-set sequences) replay much faster element-wise.
-_RESIDUAL_LOOP_WIDTH = 128
 
 # -- counter-based victim hash (random replacement) ---------------------------
 
@@ -86,118 +57,13 @@ _SET_MUL = 0xD1B54A32D192ED03
 
 
 def _victim_way(seed: int, set_idx: int, ordinal: int, ways: int) -> int:
-    """Victim way for the ``ordinal``-th eviction in ``set_idx`` (scalar)."""
+    """Victim way for the ``ordinal``-th eviction in ``set_idx``."""
     x = (seed * _SEED_MUL + set_idx * _SET_MUL + ordinal) & _U64
     x = (x + _SM_GAMMA) & _U64
     x = ((x ^ (x >> 30)) * _SM_MUL1) & _U64
     x = ((x ^ (x >> 27)) * _SM_MUL2) & _U64
     x = x ^ (x >> 31)
     return x % ways
-
-
-def _victim_way_arr(seed: int, set_idx: np.ndarray, ordinal: np.ndarray,
-                    ways: int) -> np.ndarray:
-    """Vectorized :func:`_victim_way` (identical values, uint64 wraparound)."""
-    x = (set_idx.astype(np.uint64) * np.uint64(_SET_MUL)
-         + ordinal.astype(np.uint64)
-         + np.uint64((seed * _SEED_MUL) & _U64))
-    x = x + np.uint64(_SM_GAMMA)
-    x = (x ^ (x >> np.uint64(30))) * np.uint64(_SM_MUL1)
-    x = (x ^ (x >> np.uint64(27))) * np.uint64(_SM_MUL2)
-    x = x ^ (x >> np.uint64(31))
-    return (x % np.uint64(ways)).astype(np.int64)
-
-
-def _collapse_batch(lines: np.ndarray, set_mask: int, n_sets: int):
-    """Two-stage guaranteed-hit collapse + per-set round schedule.
-
-    An access whose previous same-set access (in the full stream) was
-    the *same line* is a guaranteed hit that leaves every policy's
-    state bit-identical: LRU re-touches the already-MRU way, FIFO and
-    random do nothing on a hit, and the PLRU steering update is
-    idempotent.  The property composes along chains, so such accesses
-    can be dropped before replay without affecting anything downstream.
-
-    Stage 1 catches short-range repeats with pure shifts:
-    ``lines[i] == lines[i-k]`` (k = 2..4) with every intervening access
-    in a different set.  Stage 2 stable-sorts the survivors by set
-    index and drops each access equal to its in-set predecessor.
-    Stencil streams collapse by ~95%+; the round replay then runs on
-    the small residual only.
-
-    Returns ``(r_lines, r_sets, rank, miss_positions)``: the residual
-    in sorted-by-set order (stable, so each set's access order is
-    preserved), each access's ``rank`` within its set, and
-    ``miss_positions(hits_res)`` which maps residual hit flags to the
-    original batch positions of the misses, ascending (collapsed
-    accesses are hits by construction, so misses only live in the
-    residual).
-    """
-    n = lines.size
-    sets = lines & set_mask
-    # narrow keys take numpy's radix-sort path (~8x faster argsort)
-    keys = sets.astype(np.uint16) if n_sets <= 65536 else sets
-    # stage 1: lines[i] == lines[i-k], no intervening same-set access
-    recent = np.zeros(n, dtype=bool)
-    for k in (2, 3, 4):
-        if n <= k:
-            break
-        cond = lines[k:] == lines[:-k]
-        for j in range(1, k):
-            cond &= keys[k - j:-j] != keys[k:]
-        recent[k:] |= cond
-    if recent.any():
-        keep = np.flatnonzero(~recent)
-        kk = keys[keep]
-    else:
-        keep = None
-        kk = keys
-    m0 = kk.size  # >= 1: indices 0..1 are never collapsed
-    # stage 2: group by set, drop in-set duplicate runs.  ko maps the
-    # sorted survivors straight back to original batch positions.
-    order = np.argsort(kk, kind="stable")
-    ko = order if keep is None else keep[order]
-    sl = lines[ko]
-    ss = kk[order]
-    dup = np.empty(m0, dtype=bool)
-    dup[0] = False
-    np.logical_and(ss[1:] == ss[:-1], sl[1:] == sl[:-1], out=dup[1:])
-    res = ~dup
-    r_lines = sl[res]
-    r_sets = ss[res].astype(np.int64)
-    m = r_lines.size  # >= 1: the first sorted access always survives
-    # rank = each residual access's position within its set
-    new_grp = np.empty(m, dtype=bool)
-    new_grp[0] = True
-    np.not_equal(r_sets[1:], r_sets[:-1], out=new_grp[1:])
-    grp_start = np.flatnonzero(new_grp)
-    grp_id = np.cumsum(new_grp) - 1
-    rank = np.arange(m, dtype=np.int64) - grp_start[grp_id]
-
-    def miss_positions(hits_res: np.ndarray) -> np.ndarray:
-        mp = ko[res][~hits_res]
-        mp.sort()  # ascending position = original stream order
-        return mp
-
-    return r_lines, r_sets, rank, miss_positions
-
-
-def _round_schedule(rank: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Conflict-free replay rounds from residual ranks.
-
-    Returns ``(round_order, offsets)``: ``round_order[offsets[r]:
-    offsets[r+1]]`` indexes each set's ``r``-th residual access, so a
-    round touches every set at most once and its state transition is a
-    single gather/scatter.
-    """
-    counts = np.bincount(rank)
-    offsets = np.empty(counts.size + 1, dtype=np.int64)
-    offsets[0] = 0
-    np.cumsum(counts, out=offsets[1:])
-    if rank.size <= 65536:  # radix-sortable narrow keys
-        rank = rank.astype(np.uint16)
-    round_order = np.argsort(rank, kind="stable")
-    return round_order, offsets
 
 
 @dataclass(frozen=True)
@@ -313,27 +179,13 @@ class Cache:
     Line ids are byte addresses divided by ``line_bytes`` (the division
     happens upstream, once, vectorized).  State persists across calls so
     a cache can be shared between interleaved threads.
-
-    ``backend`` selects the replay implementation (see the module
-    docstring): ``"scalar"``, ``"vector"``, or ``"auto"``.  Both
-    backends produce bit-for-bit identical misses, counters, and
-    eviction sets; ``tests/memsim/test_cache_backends.py`` pins this.
     """
 
-    def __init__(self, config: CacheConfig, seed: int = 0,
-                 backend: str = "auto"):
-        if backend not in REPLAY_BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; choose from {REPLAY_BACKENDS}"
-            )
+    def __init__(self, config: CacheConfig, seed: int = 0):
         self.config = config
         self.stats = CacheStats()
         self._set_mask = config.n_sets - 1
         self._seed = seed
-        if backend == "auto":
-            backend = ("vector" if config.replacement != "direct"
-                       and config.n_sets >= _AUTO_MIN_SETS else "scalar")
-        self.backend = backend
         #: lines evicted by the most recent access_lines call (filled only
         #: when track_evictions is on — the inclusive-hierarchy hook)
         self.track_evictions = False
@@ -350,12 +202,6 @@ class Cache:
             self._evict_seq = np.zeros(cfg.n_sets, dtype=np.int64)
         if cfg.replacement == "direct":
             self._dm_state = np.full(cfg.n_sets, -1, dtype=np.int64)
-        elif self.backend == "vector":
-            # dense tag matrix: recency-ordered (MRU first, -1 empty at
-            # the tail) for lru/fifo/random, way-indexed for plru
-            self._tags = np.full((cfg.n_sets, cfg.ways), -1, dtype=np.int64)
-            if cfg.replacement == "plru":
-                self._tree_v = np.zeros(cfg.n_sets, dtype=np.int64)
         elif cfg.replacement == "plru":
             # way-resident line per set, plus the PLRU tree bits per set
             self._lines = [[-1] * cfg.ways for _ in range(cfg.n_sets)]
@@ -382,14 +228,6 @@ class Cache:
         policy = self.config.replacement
         if policy == "direct":
             return self._access_direct(lines)
-        if self.backend == "vector":
-            missed_idx = self._vec_replay(lines, policy,
-                                          track=self.track_evictions,
-                                          count_evictions=True)
-            self.stats.accesses += lines.size
-            self.stats.misses += missed_idx.size
-            self.stats.hits += lines.size - missed_idx.size
-            return lines[missed_idx]
         if policy == "lru":
             missed = self._access_lru(lines)
         elif policy == "fifo":
@@ -403,7 +241,7 @@ class Cache:
         self.stats.hits += lines.size - len(missed)
         return np.asarray(missed, dtype=np.int64)
 
-    # -- scalar policies (the reference oracle) ---------------------------------
+    # -- replacement policies ---------------------------------
 
     def _access_lru(self, lines: np.ndarray) -> list:
         sets = self._sets
@@ -566,286 +404,6 @@ class Cache:
         self.stats.evictions += n_misses - int(filled_empty.sum())
         return lines[~hits]
 
-    # -- vectorized replay -------------------------------------------------------
-
-    def _vec_replay(self, lines: np.ndarray, policy: str, track: bool,
-                    count_evictions: bool) -> np.ndarray:
-        """One batch through collapse + residual replay.
-
-        Returns the original batch positions of the misses, ascending.
-        """
-        r_lines, r_sets, rank, miss_positions = _collapse_batch(
-            lines, self._set_mask, self.config.n_sets)
-        n_rounds = int(rank.max()) + 1
-        if r_lines.size < _RESIDUAL_LOOP_WIDTH * n_rounds:
-            hits_res = self._residual_loop(r_lines, r_sets, policy,
-                                           track=track,
-                                           count_evictions=count_evictions)
-            return miss_positions(hits_res)
-        round_order, offsets = _round_schedule(rank)
-        if policy == "lru":
-            hits_res = self._vec_lru_fifo(r_lines, r_sets, round_order,
-                                          offsets, refresh=True, track=track,
-                                          count_evictions=count_evictions)
-        elif policy == "fifo":
-            hits_res = self._vec_lru_fifo(r_lines, r_sets, round_order,
-                                          offsets, refresh=False, track=track,
-                                          count_evictions=count_evictions)
-        elif policy == "random":
-            hits_res = self._vec_random(r_lines, r_sets, round_order, offsets,
-                                        track=track,
-                                        count_evictions=count_evictions)
-        else:
-            hits_res = self._vec_plru(r_lines, r_sets, round_order, offsets,
-                                      track=track,
-                                      count_evictions=count_evictions)
-        return miss_positions(hits_res)
-
-    def _residual_loop(self, r_lines: np.ndarray, r_sets: np.ndarray,
-                       policy: str, track: bool,
-                       count_evictions: bool) -> np.ndarray:
-        """Element-wise replay of a deeply-skewed residual.
-
-        Sorted-by-set residual order preserves each set's access order,
-        and sets are independent, so replaying in this order is exact.
-        Touched rows are unpacked from the tag matrix into Python lists
-        once, mutated in place, and written back at the end — the same
-        transitions as the scalar oracle, minus the per-access numpy
-        overhead the round replay would pay on narrow rounds.
-        """
-        ways = self.config.ways
-        tags = self._tags
-        stats = self.stats
-        hits: list = []
-        ap = hits.append
-        state: dict = {}
-        get = state.get
-        if policy in ("lru", "fifo"):
-            # rows stay ways-wide with the -1 padding at the tail: a miss
-            # inserts at the front and pops the tail, which is the padded
-            # slot when one existed (a fill) and the true victim otherwise
-            refresh = policy == "lru"
-            for ln, s in zip(r_lines.tolist(), r_sets.tolist()):
-                row = get(s)
-                if row is None:
-                    row = state[s] = tags[s].tolist()
-                if ln in row:  # -1 padding never matches a real line
-                    ap(True)
-                    if refresh and row[0] != ln:
-                        row.remove(ln)
-                        row.insert(0, ln)
-                else:
-                    ap(False)
-                    row.insert(0, ln)
-                    victim = row.pop()
-                    if victim >= 0:
-                        if count_evictions:
-                            stats.evictions += 1
-                        if track:
-                            self.last_evicted.append(victim)
-        elif policy == "random":
-            seed = self._seed
-            seq = self._evict_seq
-            for ln, s in zip(r_lines.tolist(), r_sets.tolist()):
-                row = get(s)
-                if row is None:
-                    row = state[s] = tags[s].tolist()
-                if ln in row:
-                    ap(True)
-                else:
-                    ap(False)
-                    if row[-1] < 0:  # padding left: fill the first slot
-                        row[row.index(-1)] = ln
-                    else:
-                        v = _victim_way(seed, s, int(seq[s]), ways)
-                        seq[s] += 1
-                        if count_evictions:
-                            stats.evictions += 1
-                        if track:
-                            self.last_evicted.append(row[v])
-                        row[v] = ln
-        else:  # plru: way positions are fixed, -1 may sit mid-row
-            trees = self._tree_v
-            levels = ways.bit_length() - 1
-            tstate: dict = {}
-            for ln, s in zip(r_lines.tolist(), r_sets.tolist()):
-                row = get(s)
-                if row is None:
-                    row = state[s] = tags[s].tolist()
-                    tstate[s] = int(trees[s])
-                tree = tstate[s]
-                try:
-                    way = row.index(ln)
-                    ap(True)
-                except ValueError:
-                    ap(False)
-                    node = 0
-                    way = 0
-                    for _ in range(levels):
-                        bit = (tree >> node) & 1
-                        way = (way << 1) | bit
-                        node = 2 * node + 1 + bit
-                    old = row[way]
-                    if old >= 0:
-                        if count_evictions:
-                            stats.evictions += 1
-                        if track:
-                            self.last_evicted.append(old)
-                    row[way] = ln
-                node = 0
-                for lvl in range(levels - 1, -1, -1):
-                    bit = (way >> lvl) & 1
-                    if bit:
-                        tree &= ~(1 << node)
-                    else:
-                        tree |= 1 << node
-                    node = 2 * node + 1 + bit
-                tstate[s] = tree
-            for s, tree in tstate.items():
-                trees[s] = tree
-        for s, row in state.items():  # rows are ways-wide in every branch
-            tags[s] = row
-        return np.asarray(hits, dtype=bool)
-
-    def _vec_lru_fifo(self, lines: np.ndarray, sets: np.ndarray,
-                      round_order: np.ndarray, offsets: np.ndarray,
-                      refresh: bool, track: bool,
-                      count_evictions: bool) -> np.ndarray:
-        """LRU (``refresh=True``) / FIFO rounds over the tag matrix.
-
-        A row is recency-ordered MRU-first with ``-1`` padding at the
-        tail; a miss shifts the whole row right and inserts at the
-        front, an LRU hit rotates the prefix up to the hit position.
-        """
-        ways = self.config.ways
-        tags = self._tags
-        # gather into round order once; rounds then work on slice views
-        s_all = sets[round_order]
-        ln_all = lines[round_order]
-        hits_ro = np.empty(lines.size, dtype=bool)
-        col = np.arange(ways, dtype=np.int64)
-        for r in range(offsets.size - 1):
-            a, b = offsets[r], offsets[r + 1]
-            s = s_all[a:b]
-            ln = ln_all[a:b]
-            rows = tags[s]
-            eq = rows == ln[:, None]
-            hit = eq.any(axis=1)
-            hits_ro[a:b] = hit
-            shifted = np.empty_like(rows)
-            shifted[:, 0] = ln
-            shifted[:, 1:] = rows[:, :-1]
-            if refresh:
-                pos = np.where(hit, eq.argmax(axis=1), ways - 1)
-                new = np.where(col[None, :] > pos[:, None], rows, shifted)
-            else:
-                new = np.where(hit[:, None], rows, shifted)
-            tags[s] = new
-            if count_evictions or track:
-                victims = rows[~hit, ways - 1]
-                victims = victims[victims >= 0]
-                if count_evictions:
-                    self.stats.evictions += int(victims.size)
-                if track and victims.size:
-                    self.last_evicted.extend(victims.tolist())
-        hits = np.empty(lines.size, dtype=bool)
-        hits[round_order] = hits_ro
-        return hits
-
-    def _vec_random(self, lines: np.ndarray, sets: np.ndarray,
-                    round_order: np.ndarray, offsets: np.ndarray, track: bool,
-                    count_evictions: bool) -> np.ndarray:
-        """Random-replacement rounds: appends fill the first empty slot;
-        full-set victims come from the counter-based hash."""
-        ways = self.config.ways
-        tags = self._tags
-        s_all = sets[round_order]
-        ln_all = lines[round_order]
-        hits_ro = np.empty(lines.size, dtype=bool)
-        for r in range(offsets.size - 1):
-            a, b = offsets[r], offsets[r + 1]
-            s = s_all[a:b]
-            ln = ln_all[a:b]
-            rows = tags[s]
-            hit = (rows == ln[:, None]).any(axis=1)
-            hits_ro[a:b] = hit
-            miss = ~hit
-            if not miss.any():
-                continue
-            ms = s[miss]
-            mln = ln[miss]
-            cnt = (rows[miss] >= 0).sum(axis=1)
-            space = cnt < ways
-            if space.any():
-                tags[ms[space], cnt[space]] = mln[space]
-            full = ~space
-            if full.any():
-                fs = ms[full]
-                seq = self._evict_seq[fs]
-                vic = _victim_way_arr(self._seed, fs, seq, ways)
-                self._evict_seq[fs] = seq + 1
-                if count_evictions:
-                    self.stats.evictions += int(fs.size)
-                if track:
-                    self.last_evicted.extend(tags[fs, vic].tolist())
-                tags[fs, vic] = mln[full]
-        hits = np.empty(lines.size, dtype=bool)
-        hits[round_order] = hits_ro
-        return hits
-
-    def _vec_plru(self, lines: np.ndarray, sets: np.ndarray,
-                  round_order: np.ndarray, offsets: np.ndarray, track: bool,
-                  count_evictions: bool) -> np.ndarray:
-        """Tree-PLRU rounds: vectorized victim walk + steering-bit update."""
-        ways = self.config.ways
-        levels = ways.bit_length() - 1
-        tags = self._tags
-        trees = self._tree_v
-        s_all = sets[round_order]
-        ln_all = lines[round_order]
-        hits_ro = np.empty(lines.size, dtype=bool)
-        one = np.int64(1)
-        for r in range(offsets.size - 1):
-            a, b = offsets[r], offsets[r + 1]
-            s = s_all[a:b]
-            ln = ln_all[a:b]
-            rows = tags[s]
-            eq = rows == ln[:, None]
-            hit = eq.any(axis=1)
-            hits_ro[a:b] = hit
-            way = eq.argmax(axis=1).astype(np.int64)
-            tree = trees[s]
-            miss = ~hit
-            if miss.any():
-                # walk the steering bits down to each miss's victim leaf
-                tm = tree[miss]
-                node = np.zeros(tm.size, dtype=np.int64)
-                w = np.zeros(tm.size, dtype=np.int64)
-                for _ in range(levels):
-                    bit = (tm >> node) & one
-                    w = (w << one) | bit
-                    node = 2 * node + 1 + bit
-                ms = s[miss]
-                old = tags[ms, w]
-                resident = old >= 0
-                if count_evictions:
-                    self.stats.evictions += int(resident.sum())
-                if track and resident.any():
-                    self.last_evicted.extend(old[resident].tolist())
-                tags[ms, w] = ln[miss]
-                way[miss] = w
-            # point every touched path's bits *away* from the used way
-            node = np.zeros(s.size, dtype=np.int64)
-            for lvl in range(levels - 1, -1, -1):
-                bit = (way >> np.int64(lvl)) & one
-                m = one << node
-                tree = np.where(bit == 1, tree & ~m, tree | m)
-                node = 2 * node + 1 + bit
-            trees[s] = tree
-        hits = np.empty(lines.size, dtype=bool)
-        hits[round_order] = hits_ro
-        return hits
-
     # -- prefetch support ---------------------------------------------------------
 
     def install_lines(self, lines) -> int:
@@ -867,14 +425,6 @@ class Cache:
             installed = int((self._dm_state[sets] != lines).sum())
             self._dm_state[sets] = lines
             return installed
-        if self.backend == "vector":
-            # random installs skip the victim-hash draw: front insertion
-            # with no hit refresh is exactly the FIFO transition
-            policy = ("fifo" if cfg.replacement == "random"
-                      else cfg.replacement)
-            missed_idx = self._vec_replay(lines, policy, track=False,
-                                          count_evictions=False)
-            return int(missed_idx.size)
         if cfg.replacement == "plru":
             before = (self.stats.accesses, self.stats.hits,
                       self.stats.misses, self.stats.evictions)
@@ -918,24 +468,6 @@ class Cache:
             dropped = int(match.sum())
             self._dm_state[sets[match]] = -1
             return dropped
-        if self.backend == "vector":
-            mask = self._set_mask
-            tags = self._tags
-            plru = cfg.replacement == "plru"
-            for ln in lines.tolist():
-                row = tags[ln & mask]
-                pos = np.flatnonzero(row == ln)
-                if not pos.size:
-                    continue
-                dropped += 1
-                p = int(pos[0])
-                if plru:
-                    row[p] = -1  # way positions are fixed under PLRU
-                else:
-                    # recency rows compact left, keeping -1 at the tail
-                    row[p:-1] = row[p + 1:]
-                    row[-1] = -1
-            return dropped
         if cfg.replacement == "plru":
             for ln in lines.tolist():
                 resident = self._lines[ln & self._set_mask]
@@ -959,8 +491,6 @@ class Cache:
         cfg = self.config
         if cfg.replacement == "direct":
             return {int(x) for x in self._dm_state if x >= 0}
-        if self.backend == "vector":
-            return {int(x) for x in self._tags.ravel() if x >= 0}
         if cfg.replacement == "plru":
             return {ln for s in self._lines for ln in s if ln >= 0}
         return {ln for s in self._sets for ln in s}
@@ -969,5 +499,5 @@ class Cache:
         c = self.config
         return (
             f"Cache({c.name}, {c.capacity_bytes}B, {c.ways}-way, "
-            f"{c.replacement}, sets={c.n_sets}, backend={self.backend})"
+            f"{c.replacement}, sets={c.n_sets})"
         )

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..instrument import trace as _trace
-from .cache import REPLAY_BACKENDS, CacheStats
+from .cache import CacheStats
 from .cost import CostModel
 from .hierarchy import Machine, PlatformSpec, ServiceCounts
 from .stackdist import (
@@ -40,6 +40,9 @@ from .stackdist import (
 from .trace import TraceChunk
 
 __all__ = ["ThreadWork", "SimResult", "SimulationEngine"]
+
+#: ``SimulationEngine`` backends: price when eligible, or always replay
+_BACKENDS = ("auto", "scalar")
 
 #: why ``backend="auto"`` replays a run on a platform it could price
 _WARM_REASON = "reset=False continues the replayed cache contents"
@@ -216,16 +219,14 @@ class SimulationEngine:
         cold run on an eligible platform — any non-inclusive hierarchy
         of LRU caches and TLB, without prefetchers — from stack
         distances (:mod:`repro.memsim.stackdist`): counters, per-level
-        totals and cycles equal the replayer's bit for bit.  It replays
-        ineligible platforms and ``reset=False`` runs, recording why in
-        the ``engine.replay`` span's ``fallback`` attribute.
-        ``"stack"`` prices the same platforms, replays the rest, and
-        refuses ``reset=False``.  ``"scalar"`` and ``"vector"`` always
-        replay, with that :class:`~repro.memsim.cache.Cache` backend;
-        they are the oracle the pricing is tested against.  Single-level
-        fully-associative platforms are priced from per-thread
-        histograms, exact in counts, with cycles summed per thread (equal
-        to the replayer's up to float rounding).
+        totals and cycles equal the replayer's bit for bit.
+        Single-level fully-associative platforms are priced from
+        per-thread histograms, exact in counts, with cycles summed per
+        thread (equal to the replayer's up to float rounding).  It
+        replays ineligible platforms and ``reset=False`` runs, recording
+        why in the ``engine.replay`` span's ``fallback`` attribute.
+        ``"scalar"`` always replays, one access at a time; it is the
+        oracle the pricing is tested against.
     histogram_store : HistogramStore, optional
         Where histogram pricing caches per-stream histograms.  Pass a
         shared (optionally durable) store so capacity sweeps re-price
@@ -238,26 +239,21 @@ class SimulationEngine:
                  histogram_store: Optional[HistogramStore] = None):
         if quantum <= 0:
             raise ValueError(f"quantum must be positive, got {quantum}")
-        if backend != "stack" and backend not in REPLAY_BACKENDS:
+        if backend not in _BACKENDS:
             raise ValueError(
-                f"backend must be 'stack' or one of {REPLAY_BACKENDS}, "
-                f"got {backend!r}"
-            )
+                f"backend must be one of {_BACKENDS}, got {backend!r}")
         self.spec = spec
         self.cost = cost or CostModel()
         self.quantum = quantum
         self.backend = backend
-        #: why ``backend="auto"``/``"stack"`` replays this platform
-        #: (None when it prices, and for the replay-only backends)
+        #: why ``backend="auto"`` replays this platform (None when it
+        #: prices, and for ``"scalar"``)
         self.stack_fallback_reason: Optional[str] = (
-            stack_ineligibility(spec) if backend in ("auto", "stack")
-            else None
-        )
+            stack_ineligibility(spec) if backend == "auto" else None)
         self.histogram_store = histogram_store or HistogramStore()
         # priced runs keep the machine too: it wires the counters and
         # holds every instance's stats
-        machine_backend = "auto" if backend == "stack" else backend
-        self.machine = Machine(spec, seed=seed, backend=machine_backend)
+        self.machine = Machine(spec, seed=seed)
         #: what the last run left in the machine: None (nothing yet),
         #: "replayed" (cache contents) or "priced" (only stats)
         self._last_run: Optional[str] = None
@@ -265,15 +261,14 @@ class SimulationEngine:
     @property
     def uses_stack(self) -> bool:
         """True when cold runs are priced from stack distances."""
-        return (self.backend in ("auto", "stack")
-                and self.stack_fallback_reason is None)
+        return self.backend == "auto" and self.stack_fallback_reason is None
 
     def run(self, works: List[ThreadWork], reset: bool = True) -> SimResult:
         """Simulate all thread streams to completion and account costs.
 
         ``reset=False`` continues from the caches' current contents,
-        which only replay has: it raises after a priced run (which
-        leaves the caches empty) and where ``backend="stack"`` prices.
+        which only replay has: it raises after a priced run, which
+        leaves the caches empty.
         """
         for w in works:
             if not 0 <= w.core < self.spec.n_cores:
@@ -284,11 +279,11 @@ class SimulationEngine:
         if self.uses_stack:
             if reset:
                 return self._run_priced(works)
-            if self.backend == "stack" or self._last_run == "priced":
+            if self._last_run == "priced":
                 raise ValueError(
                     "stack pricing starts every run from cold caches and "
-                    "cannot continue warm state; use reset=True or a "
-                    "replay backend"
+                    "cannot continue warm state; use reset=True or "
+                    "backend='scalar'"
                 )
         return self._run_replay(works, reset)
 

@@ -173,10 +173,8 @@ class Machine:
     :mod:`repro.parallel.affinity`).
     """
 
-    def __init__(self, spec: PlatformSpec, seed: int = 0,
-                 backend: str = "auto"):
+    def __init__(self, spec: PlatformSpec, seed: int = 0):
         self.spec = spec
-        self.backend = backend
         # caches[level_index] maps instance key -> Cache
         self._caches: List[Dict[int, Cache]] = []
         # prefetchers[level_index][core] — stream detection is per
@@ -190,8 +188,7 @@ class Machine:
                 "machine": 1,
             }[level.scope]
             for inst in range(n):
-                cache = Cache(level.cache, seed=seed + 31 * li + inst,
-                              backend=backend)
+                cache = Cache(level.cache, seed=seed + 31 * li + inst)
                 if spec.inclusive and li == len(spec.levels) - 1 and li > 0:
                     cache.track_evictions = True
                 instances[inst] = cache
@@ -212,7 +209,7 @@ class Machine:
                     f"cache line size {spec.line_bytes}"
                 )
             self._tlbs = {
-                core: Cache(spec.tlb, seed=seed + 977 + core, backend=backend)
+                core: Cache(spec.tlb, seed=seed + 977 + core)
                 for core in range(spec.n_cores)
             }
             self._lines_per_page = spec.tlb.line_bytes // spec.line_bytes

@@ -1,6 +1,6 @@
 """Stack-distance (Mattson) pricing: LRU caches without replaying them.
 
-The replay backends in :mod:`repro.memsim.cache` walk the address
+The cache replay in :mod:`repro.memsim.cache` walks the address
 stream access by access.  LRU needs no walk: an access hits a ``W``-way
 LRU set iff fewer than ``W`` distinct lines of its set were touched
 since its previous access (Mattson et al., 1970).  This module prices
@@ -202,9 +202,9 @@ def stack_distances(lines) -> np.ndarray:
     """Per-access LRU stack distances; cold accesses get :data:`COLD`.
 
     The distance of an access is the number of *distinct* lines touched
-    since the previous access to the same line — identical semantics to
-    :func:`repro.analysis.reuse.reuse_distance_histogram`, computed in
-    O(n log n) numpy passes with no per-access Python loop.
+    since the previous access to the same line, computed in O(n log n)
+    numpy passes with no per-access Python loop (the engine behind
+    :func:`repro.analysis.reuse.reuse_distance_histogram`).
     """
     arr = _as_line_array(lines)
     n = arr.size
@@ -579,8 +579,8 @@ def fully_associative_spec(capacity_lines: int,
                            latency_cycles: float = 4.0,
                            mem_latency_cycles: float = 100.0,
                            mem_parallelism: float = 4.0) -> PlatformSpec:
-    """A single-level fully-associative LRU platform — the stack backend's
-    native geometry, and the natural axis for capacity sweeps.
+    """A single-level fully-associative LRU platform — histogram
+    pricing's native geometry, and the natural axis for capacity sweeps.
 
     Two specs from this helper that differ only in ``capacity_lines``
     are recognized by :func:`repro.experiments.sweep.sweep_cells` as a

@@ -22,6 +22,30 @@ from repro.memsim import Cache, CacheConfig
 lines_st = st.lists(st.integers(0, 40), min_size=0, max_size=200)
 
 
+def _reuse_stack(lines) -> dict:
+    """Reference O(n·d) stack simulation of the reuse histogram."""
+    stack: list = []
+    hist: dict = {}
+    for ln in np.asarray(lines, dtype=np.int64).ravel().tolist():
+        try:
+            depth = stack.index(ln)
+        except ValueError:
+            depth = INFINITE_DISTANCE
+        else:
+            del stack[depth]
+        stack.insert(0, ln)
+        hist[depth] = hist.get(depth, 0) + 1
+    return hist
+
+
+ADVERSARIAL_STREAMS = {
+    "all-distinct": np.arange(150, dtype=np.int64),
+    "all-same": np.zeros(150, dtype=np.int64),
+    "periodic": np.tile(np.arange(5, dtype=np.int64), 30),
+    "single-element": np.array([9], dtype=np.int64),
+}
+
+
 class TestReuseDistance:
     def test_known_sequence(self):
         # a b c a : a's second access has distance 2 (b, c in between)
@@ -40,19 +64,19 @@ class TestReuseDistance:
         assert hist[0] == 2  # the b-repeats
 
     @given(lines_st)
-    def test_bit_matches_stack(self, lines):
-        assert (reuse_distance_histogram(lines, method="bit")
-                == reuse_distance_histogram(lines, method="stack"))
+    def test_matches_stack(self, lines):
+        assert reuse_distance_histogram(lines) == _reuse_stack(lines)
+
+    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_STREAMS))
+    def test_adversarial_vs_stack(self, name):
+        arr = ADVERSARIAL_STREAMS[name]
+        assert reuse_distance_histogram(arr) == _reuse_stack(arr)
 
     @given(lines_st)
     def test_total_count_preserved(self, lines):
         hist = reuse_distance_histogram(lines)
         assert sum(hist.values()) == len(lines)
         assert hist.get(INFINITE_DISTANCE, 0) == len(set(lines))
-
-    def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            reuse_distance_histogram([1], method="tree")
 
     @given(st.lists(st.integers(0, 30), min_size=1, max_size=300))
     def test_miss_ratio_curve_matches_fully_assoc_lru(self, lines):
@@ -96,14 +120,6 @@ def _miss_ratio_curve_reference(hist, capacities):
     return out
 
 
-ADVERSARIAL_STREAMS = {
-    "all-distinct": np.arange(150, dtype=np.int64),
-    "all-same": np.zeros(150, dtype=np.int64),
-    "periodic": np.tile(np.arange(5, dtype=np.int64), 30),
-    "single-element": np.array([9], dtype=np.int64),
-}
-
-
 class TestMissRatioCurveRegression:
     """The vectorized MRC must be exactly equal to the old loop."""
 
@@ -128,30 +144,13 @@ class TestMissRatioCurveRegression:
             == _miss_ratio_curve_reference(hist, caps).tolist()
 
 
-class TestMethodAgreement:
-    """bit / stack / vectorized must agree on every stream."""
-
-    @given(lines_st)
-    def test_bit_vs_vectorized_random(self, lines):
-        assert (reuse_distance_histogram(lines, method="vectorized")
-                == reuse_distance_histogram(lines, method="bit"))
-
-    @pytest.mark.parametrize("name", sorted(ADVERSARIAL_STREAMS))
-    @pytest.mark.parametrize("method", ["bit", "vectorized"])
-    def test_adversarial_vs_stack(self, name, method):
-        arr = ADVERSARIAL_STREAMS[name]
-        assert (reuse_distance_histogram(arr, method=method)
-                == reuse_distance_histogram(arr, method="stack"))
-
-
 class TestNativeArrayInput:
     def test_ndarray_accepted_without_tolist(self):
         arr = np.array([1, 2, 3, 1], dtype=np.int64)
-        for method in ("bit", "stack", "vectorized"):
-            hist = reuse_distance_histogram(arr, method=method)
-            assert hist == {INFINITE_DISTANCE: 3, 2: 1}
-            # keys are Python ints, not np.int64 leftovers
-            assert all(type(k) is int for k in hist)
+        hist = reuse_distance_histogram(arr)
+        assert hist == {INFINITE_DISTANCE: 3, 2: 1}
+        # keys are Python ints, not np.int64 leftovers
+        assert all(type(k) is int for k in hist)
 
     def test_multidimensional_array_flattened(self):
         arr = np.array([[1, 2], [3, 1]], dtype=np.int64)

@@ -145,7 +145,7 @@ class TestCapacityFastPath:
     def test_rows_match_general_path(self, fa_base):
         fast = sweep_cells(fa_base, {"platform": self._platforms()},
                            counters=["L1_TCA", "L1_TCM"])
-        slow = sweep_cells(dataclasses.replace(fa_base, backend="vector"),
+        slow = sweep_cells(dataclasses.replace(fa_base, backend="scalar"),
                            {"platform": self._platforms()},
                            counters=["L1_TCA", "L1_TCM"])
         assert len(fast) == len(slow)

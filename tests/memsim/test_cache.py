@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.memsim import Cache, CacheConfig
+from repro.memsim import Cache, CacheConfig, CacheStats
 
 lines_st = st.lists(st.integers(min_value=0, max_value=255), min_size=1,
                     max_size=400).map(lambda xs: np.array(xs, dtype=np.int64))
@@ -209,3 +209,70 @@ class TestDirectMapped:
         c = Cache(CacheConfig("T", 64 * 4, ways=1, replacement="direct"))
         c.access_lines([0, 1, 2, 3, 4])  # 4 evicts 0 (same set)
         assert c.resident_lines() == {1, 2, 3, 4}
+
+
+class TestChunking:
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "plru", "random"])
+    def test_chunking_invariance(self, policy):
+        """Splitting one stream into arbitrary batches must not change
+        the aggregate stats (the engine's quantum does exactly this)."""
+        rng = np.random.default_rng(5)
+        lines = rng.integers(0, 2048, size=5000).astype(np.int64)
+        cfg = CacheConfig("T", 64 * 4 * 32, ways=4, replacement=policy)
+        whole = Cache(cfg, seed=3)
+        whole.access_lines(lines)
+        chunked = Cache(cfg, seed=3)
+        pos = 0
+        while pos < lines.size:
+            step = int(rng.integers(1, 700))
+            chunked.access_lines(lines[pos:pos + step])
+            pos += step
+        assert whole.stats == chunked.stats
+
+
+class TestRandomVictimHash:
+    def test_depends_only_on_eviction_history(self):
+        """Victim choice is a function of (seed, set, ordinal) — feeding
+        extra traffic to *other* sets must not perturb a set's victims."""
+        cfg = CacheConfig("T", 64 * 2 * 16, ways=2, replacement="random")
+        thrash = (np.arange(30, dtype=np.int64) % 3) * 16  # set 0 only
+        lone = Cache(cfg, seed=9)
+        lone_missed = lone.access_lines(thrash)
+        noisy = Cache(cfg, seed=9)
+        noisy.access_lines(np.arange(1, 16, dtype=np.int64))  # other sets
+        noisy_missed = noisy.access_lines(thrash)
+        np.testing.assert_array_equal(lone_missed, noisy_missed)
+
+    def test_seed_changes_victims(self):
+        cfg = CacheConfig("T", 64 * 2 * 4, ways=2, replacement="random")
+        stream = (np.arange(400, dtype=np.int64) % 5) * 4
+        a = Cache(cfg, seed=0)
+        b = Cache(cfg, seed=1)
+        a.track_evictions = b.track_evictions = True
+        a.access_lines(stream)
+        b.access_lines(stream)
+        assert a.last_evicted != b.last_evicted
+
+
+class TestEvictionCounter:
+    def test_cold_fills_are_not_evictions(self):
+        cfg = CacheConfig("T", 64 * 4 * 4, ways=4)
+        cache = Cache(cfg)
+        cache.access_lines(np.arange(16, dtype=np.int64))  # exactly fills
+        assert cache.stats.misses == 16
+        assert cache.stats.evictions == 0
+        cache.access_lines(np.arange(16, 20, dtype=np.int64))  # one per set
+        assert cache.stats.evictions == 4
+
+    def test_direct_mapped_evictions(self):
+        cfg = CacheConfig("T", 64 * 8, ways=1, replacement="direct")
+        cache = Cache(cfg)
+        cache.access_lines(np.arange(8, dtype=np.int64))
+        assert cache.stats.evictions == 0
+        cache.access_lines(np.arange(8, 16, dtype=np.int64))
+        assert cache.stats.evictions == 8
+
+    def test_merge_sums_evictions(self):
+        a = CacheStats(accesses=4, hits=1, misses=3, evictions=2)
+        b = CacheStats(accesses=6, hits=2, misses=4, evictions=1)
+        assert a.merge(b).evictions == 3

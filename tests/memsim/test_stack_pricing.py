@@ -167,8 +167,7 @@ class TestWayBoundary:
             if n_sets > 1:
                 noise = np.arange(lines.size, dtype=np.int64) * n_sets + 1
                 lines = np.stack([lines, noise], axis=1).ravel()
-            cache = Cache(CacheConfig("L", n_sets * ways * 64, ways=ways),
-                          backend="scalar")
+            cache = Cache(CacheConfig("L", n_sets * ways * 64, ways=ways))
             missed = cache.access_lines(lines)
             hits, fills = lru_hits(lines, n_sets, ways)
             assert np.array_equal(lines[~hits], missed), name

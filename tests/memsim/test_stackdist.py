@@ -1,9 +1,9 @@
-"""Tests for the single-pass stack-distance replay backend.
+"""Tests for single-pass stack-distance pricing.
 
 The load-bearing property: on every fully-associative LRU platform in
-the cross-validation matrix, ``backend="stack"`` must produce miss
-counts *bit-for-bit* equal to the vectorized replayer — the stack
-backend is a reformulation, not an approximation.
+the cross-validation matrix, ``backend="auto"`` must produce miss
+counts *bit-for-bit* equal to the replayer — pricing is a
+reformulation, not an approximation.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.reuse import INFINITE_DISTANCE, reuse_distance_histogram
 from repro.memsim import (
     Cache,
     CacheConfig,
@@ -38,6 +37,7 @@ from repro.memsim import (
 from repro.memsim.prefetch import PrefetchConfig
 from repro.memsim.stackdist import _dump_histograms, _load_histograms, stream_key
 from repro.resilience.artifacts import sidecar_path
+from tests.analysis.test_analysis import _reuse_stack
 
 lines_st = st.lists(st.integers(0, 40), min_size=0, max_size=300)
 
@@ -69,16 +69,14 @@ def brute_lru_misses(seq, capacity):
 class TestStackDistances:
     @given(lines_st)
     @settings(max_examples=60)
-    def test_matches_bit_reference(self, lines):
+    def test_matches_stack_reference(self, lines):
         arr = np.asarray(lines, dtype=np.int64)
-        assert (stack_distance_histogram(arr).as_dict()
-                == reuse_distance_histogram(lines, method="bit"))
+        assert stack_distance_histogram(arr).as_dict() == _reuse_stack(lines)
 
     @pytest.mark.parametrize("name", sorted(ADVERSARIAL))
     def test_adversarial_patterns(self, name):
         arr = ADVERSARIAL[name]
-        assert (stack_distance_histogram(arr).as_dict()
-                == reuse_distance_histogram(arr, method="stack"))
+        assert stack_distance_histogram(arr).as_dict() == _reuse_stack(arr)
 
     def test_per_access_distances(self):
         # a b b b a : one distinct line between the two a's
@@ -231,7 +229,7 @@ def _works(rng, spec, n_threads, n, k, collapsed=0):
 
 
 class TestEngineStackBackend:
-    """Cross-validation matrix: stack vs vectorized replayer."""
+    """Cross-validation matrix: stack pricing vs the scalar replayer."""
 
     MATRIX = [
         # (capacity_lines, n_threads, n_cores, n_sockets, scope)
@@ -250,9 +248,9 @@ class TestEngineStackBackend:
         spec = fully_associative_spec(cap, n_cores=n_cores,
                                       n_sockets=n_sockets, scope=scope)
         works = _works(rng, spec, n_threads, 600, 300, collapsed=5)
-        ref_eng = SimulationEngine(spec, backend="vector", quantum=64)
+        ref_eng = SimulationEngine(spec, backend="scalar", quantum=64)
         ref = ref_eng.run(works)
-        stk_eng = SimulationEngine(spec, backend="stack", quantum=64)
+        stk_eng = SimulationEngine(spec, quantum=64)
         assert stk_eng.uses_stack
         got = stk_eng.run(works)
         # integer counts: exact equality
@@ -277,15 +275,14 @@ class TestEngineStackBackend:
         works = [ThreadWork(0, 0, chunk)]
         for cap in (8, 16, 32, 64):
             spec = fully_associative_spec(cap)
-            eng = SimulationEngine(spec, backend="stack",
-                                   histogram_store=store)
+            eng = SimulationEngine(spec, histogram_store=store)
             eng.run(works)
         assert store.misses == 1  # one analysis pass, four pricings
         assert store.hits == 3
 
     def test_empty_works(self):
         spec = fully_associative_spec(8)
-        res = SimulationEngine(spec, backend="stack").run([])
+        res = SimulationEngine(spec).run([])
         assert res.n_accesses == 0
         assert res.runtime_seconds == 0.0
 
@@ -299,18 +296,16 @@ class TestEngineStackBackend:
         for works in ([], idle):
             ref = SimulationEngine(spec, backend="scalar").run(works)
             assert ref.level_served == {"MEM": 0.0}
-            for backend in ("stack", "auto"):
-                got = SimulationEngine(spec, backend=backend).run(works)
-                assert got.level_served == ref.level_served, backend
+            got = SimulationEngine(spec).run(works)
+            assert got.level_served == ref.level_served
 
     def test_collapsed_hits_only_thread(self):
         spec = fully_associative_spec(8)
         empty = TraceChunk(lines=np.empty(0, dtype=np.int64),
                            collapsed_hits=11, n_ops=5)
-        ref = SimulationEngine(spec, backend="vector").run(
+        ref = SimulationEngine(spec, backend="scalar").run(
             [ThreadWork(0, 0, empty)])
-        got = SimulationEngine(spec, backend="stack").run(
-            [ThreadWork(0, 0, empty)])
+        got = SimulationEngine(spec).run([ThreadWork(0, 0, empty)])
         assert got.counters == ref.counters
         assert got.level_served == ref.level_served
 
@@ -319,8 +314,7 @@ class TestEngineStackBackend:
         chunk = TraceChunk(lines=np.array([1], dtype=np.int64),
                            collapsed_hits=0, n_ops=1)
         with pytest.raises(ValueError, match="core"):
-            SimulationEngine(spec, backend="stack").run(
-                [ThreadWork(0, 5, chunk)])
+            SimulationEngine(spec).run([ThreadWork(0, 5, chunk)])
 
 
 class TestStackFallback:
@@ -372,7 +366,7 @@ class TestStackFallback:
         spec = self._eligible_specs()[which]
         rng = np.random.default_rng(11)
         works = _works(rng, spec, 2, 300, 500)
-        eng = SimulationEngine(spec, backend="stack")
+        eng = SimulationEngine(spec)
         assert eng.uses_stack
         assert eng.stack_fallback_reason is None
         got = eng.run(works)
@@ -389,11 +383,11 @@ class TestStackFallback:
         spec = self._ineligible_specs()[which]
         rng = np.random.default_rng(11)
         works = _works(rng, spec, 2, 300, 500)
-        eng = SimulationEngine(spec, backend="stack")
+        eng = SimulationEngine(spec)
         assert not eng.uses_stack
         assert eng.stack_fallback_reason
         got = eng.run(works)
-        ref = SimulationEngine(spec, backend="auto").run(works)
+        ref = SimulationEngine(spec, backend="scalar").run(works)
         assert got.counters == ref.counters
         assert got.runtime_seconds == ref.runtime_seconds
 
@@ -420,21 +414,11 @@ class TestStackFallback:
             assert eng.uses_stack == (backend == "auto")
             assert eng.run(works).counters == {"L2_TCM": 5.0}
 
-    def test_warm_continuation_raises(self):
-        spec = fully_associative_spec(8)
-        chunk = TraceChunk(lines=np.array([1, 2], dtype=np.int64),
-                           collapsed_hits=0, n_ops=1)
-        eng = SimulationEngine(spec, backend="stack")
-        with pytest.raises(ValueError, match="cold"):
-            eng.run([ThreadWork(0, 0, chunk)], reset=False)
-
-    def test_cache_rejects_stack_backend(self):
-        with pytest.raises(ValueError):
-            Cache(CacheConfig("L1", 64 * 64, ways=64), backend="stack")
-
     def test_engine_rejects_unknown_backend(self):
-        with pytest.raises(ValueError, match="backend"):
-            SimulationEngine(fully_associative_spec(8), backend="bogus")
+        for backend in ("bogus", "vector", "stack"):
+            with pytest.raises(ValueError, match="backend") as err:
+                SimulationEngine(fully_associative_spec(8), backend=backend)
+            assert "'auto'" in str(err.value) and "'scalar'" in str(err.value)
 
 
 class TestArtifactHygiene:
