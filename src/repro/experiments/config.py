@@ -11,7 +11,8 @@ knobs that make simulation tractable (see DESIGN.md §2 "Sampling"):
   absolute numbers, since same-orientation items have statistically
   identical streams);
 * ``ray_step`` — subsample rays within a tile by this stride in both
-  image directions (extrapolation factor ``ray_step²``);
+  image directions (counters extrapolate by the rays actually cast,
+  ``ceil(w/ray_step) * ceil(h/ray_step)`` per tile);
 * ``sample_cores`` — on platforms with no cache shared across cores
   (the MIC), simulate only this many cores' worth of threads and
   extrapolate; cross-core independence makes this exact.

@@ -33,8 +33,8 @@ from ..memsim.engine import SimResult, SimulationEngine, ThreadWork
 from ..memsim.hierarchy import PlatformSpec
 from ..memsim.stackdist import HistogramStore
 from ..parallel.affinity import make_affinity
-from ..parallel.pencil import PENCIL_AXES, enumerate_pencils
-from ..parallel.scheduler import dynamic_worker_pool, static_round_robin
+from ..parallel.pencil import PENCIL_AXES, round_robin_pencils
+from ..parallel.scheduler import dynamic_worker_pool
 from ..parallel.threads import build_thread_works
 from ..parallel.tiles import enumerate_tiles
 from .config import BilateralCell, VolrendCell
@@ -169,24 +169,21 @@ def _prepare_bilateral(cell: BilateralCell) -> PreparedCell:
             stencil_order=cell.stencil_order,
         ))
         axis = PENCIL_AXES[cell.pencil]
-        pencils = enumerate_pencils(shape, axis, order=cell.pencil_order)
-        if cell.n_threads > len(pencils):
+        full_items = int(np.prod(shape)) // shape[axis]
+        if cell.n_threads > full_items:
             raise ValueError(
-                f"{cell.n_threads} threads exceed {len(pencils)} pencils; "
+                f"{cell.n_threads} threads exceed {full_items} pencils; "
                 f"use a larger volume"
             )
-        assignment = static_round_robin(pencils, cell.n_threads)
         affinity = make_affinity(cell.affinity, cell.n_threads, spec,
                                  usable_cores=cell.usable_cores)
-        simulated = set(_select_simulated_threads(
-            cell.n_threads, affinity, cell.sample_cores))
-
-        full_items = sum(len(v) for v in assignment.values())
-        sampled_assignment = {
-            t: items[:cell.pencils_per_thread]
-            for t, items in assignment.items()
-            if t in simulated
-        }
+        simulated = _select_simulated_threads(
+            cell.n_threads, affinity, cell.sample_cores)
+        # the round-robin deal of every pencil, sliced to the simulated
+        # threads' first pencils, in closed form
+        sampled_assignment = round_robin_pencils(
+            shape, axis, cell.n_threads, cell.pencils_per_thread, simulated,
+            order=cell.pencil_order)
         sampled_items = sum(len(v) for v in sampled_assignment.values())
         factor = full_items / sampled_items if sampled_items else 1.0
         # per-thread work extrapolation: each thread does items/T,
@@ -291,18 +288,14 @@ def _prepare_volrend(cell: VolrendCell) -> PreparedCell:
             for t, items in assignment.items()
             if t in simulated
         }
-        sampled_pixels = sum(
-            t.n_pixels for items in sampled_assignment.values()
-            for t in items
-        ) / (cell.ray_step ** 2)
-        factor = full_pixels / sampled_pixels if sampled_pixels else 1.0
+        # extrapolate by the rays the sampled tiles cast: a clipped edge
+        # tile at ray_step > 1 casts more than n_pixels / ray_step**2
+        thread_rays = [sum(t.n_rays(cell.ray_step) for t in items)
+                       for items in sampled_assignment.values()]
+        sampled_rays = sum(thread_rays)
+        factor = full_pixels / sampled_rays if sampled_rays else 1.0
         per_thread_full = full_pixels / cell.n_threads
-        per_thread_sampled = max(
-            (sum(t.n_pixels for t in items) / (cell.ray_step ** 2)
-             for items in sampled_assignment.values()),
-            default=1.0,
-        )
-        thread_factor = per_thread_full / per_thread_sampled
+        thread_factor = per_thread_full / max(thread_rays, default=1.0)
 
     with _trace.span("cell.trace_gen") as sp:
         works = build_thread_works(

@@ -11,6 +11,7 @@ description exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -70,12 +71,19 @@ class Camera:
         return self.width / self.height
 
     def basis(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Orthonormal (forward, right, up) triple."""
+        """Orthonormal (forward, right, up) triple (read-only arrays)."""
+        return self._basis
+
+    @cached_property
+    def _basis(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # computed on first use, then shared by every tile's rays
         eye = np.asarray(self.eye, dtype=np.float64)
         ctr = np.asarray(self.center, dtype=np.float64)
         fwd = _normalize(ctr - eye)
         right = _normalize(np.cross(fwd, np.asarray(self.up, dtype=np.float64)))
         true_up = np.cross(right, fwd)
+        for v in (fwd, right, true_up):
+            v.flags.writeable = False
         return fwd, right, true_up
 
 

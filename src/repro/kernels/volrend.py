@@ -143,34 +143,67 @@ class RaycastRenderer:
     # -- geometry ----------------------------------------------------------------
 
     def _sample_positions(self, camera: Camera, px: np.ndarray, py: np.ndarray):
-        """Per-ray sample positions on a padded (n_rays, max_steps) lattice.
+        """Every ray's in-volume samples, ray-major and step-minor.
 
-        Returns ``(pts, valid)``: ``pts`` is (n_rays, steps, 3) with
-        invalid entries clamped to the first valid sample (they are
-        masked out of both value and trace paths by ``valid``).
+        Returns ``(pts, ray, step, n_steps)``: sample ``i`` is step
+        ``step[i]`` of ray ``ray[i]``, at ``t_near + (step + 0.5) *
+        spec.step`` along it, clipped to the volume box into
+        ``pts[i]``; ray ``r`` takes ``n_steps[r]`` samples.
         """
         origins, dirs = generate_rays(camera, px, py)
         t_near, t_far = ray_box_intersect(origins, dirs, self._lo, self._hi)
         hit = t_far > t_near
-        # missed rays can carry infinite slab parameters; zero them so the
-        # masked position arithmetic below stays finite
+        # missed rays can carry infinite slab parameters; zero them so
+        # they take no steps
         t_near = np.where(hit, t_near, 0.0)
         span = np.where(hit, t_far - t_near, 0.0)
         n_steps = np.minimum(
             np.ceil(span / self.spec.step).astype(np.int64), self.spec.max_steps
         )
-        max_steps = int(n_steps.max()) if n_steps.size else 0
-        if max_steps == 0:
-            pts = np.zeros((origins.shape[0], 0, 3))
-            valid = np.zeros((origins.shape[0], 0), dtype=bool)
-            return pts, valid
-        s = np.arange(max_steps, dtype=np.float64)
-        t = t_near[:, None] + (s[None, :] + 0.5) * self.spec.step
-        valid = s[None, :] < n_steps[:, None]
-        t = np.where(valid, t, t_near[:, None])
-        pts = origins[:, None, :] + t[:, :, None] * dirs[:, None, :]
-        np.clip(pts, self._lo, self._hi, out=pts)
-        return pts, valid
+        ray = np.repeat(np.arange(n_steps.size), n_steps)
+        step = np.arange(ray.size) - np.repeat(np.cumsum(n_steps) - n_steps,
+                                               n_steps)
+        t = t_near[ray] + (step + 0.5) * self.spec.step
+        # built coordinate-major, so every elementwise pass runs over a
+        # contiguous row rather than (n, 3) rows of three
+        pts = np.take(dirs.T, ray, axis=1)
+        pts *= t
+        pts += np.take(origins.T, ray, axis=1)
+        for c in range(3):
+            np.clip(pts[c], self._lo[c], self._hi[c], out=pts[c])
+        return pts.T, ray, step, n_steps
+
+    def _composite(self, values: np.ndarray, ray: np.ndarray,
+                   step: np.ndarray, n_rays: int, max_steps: int):
+        """Front-to-back compositing of the loaded samples.
+
+        Returns ``(rgba, term_step)``: ``(n_rays, 4)`` pixel values and,
+        per ray, the step count at which early termination stopped it
+        (``max_steps`` when it never did).
+        """
+        spec = self.spec
+        term_step = np.full(n_rays, max_steps, dtype=np.int64)
+        if not max_steps:
+            return np.zeros((n_rays, 4)), term_step
+        flat = ray * max_steps + step
+        scalars = np.zeros(n_rays * max_steps, dtype=np.float64)
+        scalars[flat] = values
+        valid = np.zeros(n_rays * max_steps, dtype=bool)
+        valid[flat] = True
+        rgba = self.transfer(scalars.reshape(n_rays, max_steps))
+        # opacity correction for the sample spacing
+        alpha = 1.0 - np.power(1.0 - np.clip(rgba[..., 3], 0.0, 1.0), spec.step)
+        alpha = np.where(valid.reshape(n_rays, max_steps), alpha, 0.0)
+        color_acc = np.zeros((n_rays, 3))
+        alpha_acc = np.zeros(n_rays)
+        for s in range(max_steps):
+            w = (1.0 - alpha_acc) * alpha[:, s]
+            color_acc += w[:, None] * rgba[:, s, :3]
+            alpha_acc += w
+            if spec.early_termination is not None:
+                newly = (alpha_acc >= spec.early_termination) & (term_step == max_steps)
+                term_step[newly] = s + 1
+        return np.concatenate([color_acc, alpha_acc[:, None]], axis=1), term_step
 
     # -- main entry ----------------------------------------------------------------
 
@@ -181,72 +214,46 @@ class RaycastRenderer:
 
         The stream is ray-major, sample-minor (each pixel's ray is
         integrated to completion before the next pixel starts), matching
-        the paper's per-pixel outer loop.
+        the paper's per-pixel outer loop.  Only in-volume samples are
+        built; compositing (for values or early termination) scatters
+        them onto a ``(rays, max_steps)`` array.
         """
         spec = self.spec
-        pts, valid = self._sample_positions(camera, px, py)
-        n_rays, max_steps, _ = pts.shape
+        pts, ray, step, n_steps = self._sample_positions(camera, px, py)
+        n_rays = n_steps.size
+        max_steps = int(n_steps.max()) if n_rays else 0
         struct_trace = None
         if self._skip_active is not None:
             # the structure lookup happens for every in-volume sample;
             # only active-brick samples proceed to load and composite
-            if space is not None and valid.any():
-                struct_offs = self.skip.structure_offsets(
-                    pts.reshape(-1, 3)[valid.ravel()])
+            if space is not None and ray.size:
+                struct_offs = self.skip.structure_offsets(pts)
                 base = space.register_object(self.skip, self.skip.n_bricks * 8)
                 struct_trace = TraceChunk.from_offsets(
                     struct_offs, 8, space.line_bytes, base_bytes=base)
-            valid = valid & self.skip.active_mask_for_points(
-                pts, self._skip_active)
-        flat_valid = valid.ravel()
-        flat_pts = pts.reshape(-1, 3)[flat_valid]
+            active = self.skip.active_mask_for_points(pts, self._skip_active)
+            pts, ray, step = pts[active], ray[active], step[active]
 
         sampler = sample_nearest if spec.sampler == "nearest" else sample_trilinear
-        if flat_pts.shape[0]:
-            values, offsets = sampler(self.grid, flat_pts)
+        if ray.size:
+            values, offsets = sampler(self.grid, pts)
         else:
             values = np.empty(0)
             offsets = np.empty(0, dtype=np.int64)
 
-        scalars = np.zeros(n_rays * max_steps, dtype=np.float64)
-        scalars[flat_valid] = values
-        scalars = scalars.reshape(n_rays, max_steps)
-
         rgba_img = None
-        term_step = np.full(n_rays, max_steps, dtype=np.int64)
-        need_compositing = want_values or spec.early_termination is not None
-        if need_compositing and max_steps:
-            rgba = self.transfer(scalars)
-            # opacity correction for the sample spacing
-            alpha = 1.0 - np.power(1.0 - np.clip(rgba[..., 3], 0.0, 1.0), spec.step)
-            alpha = np.where(valid, alpha, 0.0)
-            color_acc = np.zeros((n_rays, 3))
-            alpha_acc = np.zeros(n_rays)
-            for s in range(max_steps):
-                w = (1.0 - alpha_acc) * alpha[:, s]
-                color_acc += w[:, None] * rgba[:, s, :3]
-                alpha_acc += w
-                if spec.early_termination is not None:
-                    newly = (alpha_acc >= spec.early_termination) & (term_step == max_steps)
-                    term_step[newly] = s + 1
-            rgba_img = np.concatenate([color_acc, alpha_acc[:, None]], axis=1)
-        elif need_compositing:
-            rgba_img = np.zeros((n_rays, 4))
+        n_samples = int(ray.size)
+        if want_values or spec.early_termination is not None:
+            rgba_img, term_step = self._composite(values, ray, step, n_rays,
+                                                  max_steps)
+            if spec.early_termination is not None:
+                # truncate both the op count and the trace at termination
+                kept = step < term_step[ray]
+                n_samples = int(kept.sum())
+                if spec.sampler == "trilinear":
+                    kept = np.repeat(kept, 8)
+                offsets = offsets[kept]
 
-        if spec.early_termination is not None and max_steps:
-            # truncate both the op count and the trace at termination
-            step_idx = np.broadcast_to(
-                np.arange(max_steps)[None, :], (n_rays, max_steps)
-            )
-            valid = valid & (step_idx < term_step[:, None])
-            flat_valid_t = valid.ravel()
-            if spec.sampler == "trilinear":
-                keep = np.repeat(flat_valid_t[flat_valid], 8)
-            else:
-                keep = flat_valid_t[flat_valid]
-            offsets = offsets[keep]
-
-        n_samples = int(valid.sum())
         trace = None
         if space is not None:
             base = space.register(self.grid)

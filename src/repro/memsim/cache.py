@@ -193,10 +193,20 @@ class Cache:
         self.reset()
 
     def reset(self) -> None:
-        """Empty the cache and zero the counters."""
-        cfg = self.config
+        """Empty the cache and zero the counters.
+
+        The per-set replay state is built by the next call that replays
+        or inspects contents; a priced run only ever touches
+        :attr:`stats`.
+        """
         self.stats = CacheStats()
         self.last_evicted = []
+        self._empty = True
+
+    def _build_state(self) -> None:
+        """Allocate empty per-set replay state (on first use after reset)."""
+        cfg = self.config
+        self._empty = False
         if cfg.replacement == "random":
             # per-set eviction ordinals feeding the victim hash
             self._evict_seq = np.zeros(cfg.n_sets, dtype=np.int64)
@@ -225,6 +235,8 @@ class Cache:
             self.last_evicted = []
         if lines.size == 0:
             return lines
+        if self._empty:
+            self._build_state()
         policy = self.config.replacement
         if policy == "direct":
             return self._access_direct(lines)
@@ -418,6 +430,8 @@ class Cache:
         lines = np.asarray(lines, dtype=np.int64)
         if lines.size == 0:
             return 0
+        if self._empty:
+            self._build_state()
         cfg = self.config
         installed = 0
         if cfg.replacement == "direct":
@@ -460,6 +474,8 @@ class Cache:
         invalidation is not a demand access.
         """
         lines = np.asarray(lines, dtype=np.int64)
+        if self._empty:
+            return 0
         cfg = self.config
         dropped = 0
         if cfg.replacement == "direct":
@@ -488,6 +504,8 @@ class Cache:
 
     def resident_lines(self) -> set:
         """Set of line ids currently resident (for tests)."""
+        if self._empty:
+            return set()
         cfg = self.config
         if cfg.replacement == "direct":
             return {int(x) for x in self._dm_state if x >= 0}

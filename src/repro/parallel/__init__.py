@@ -14,6 +14,7 @@ from .pencil import (
     Pencil,
     enumerate_pencils,
     pencil_coords,
+    round_robin_pencils,
 )
 from .scheduler import assignment_balance, dynamic_worker_pool, static_round_robin
 from .threads import build_thread_works
@@ -33,6 +34,7 @@ __all__ = [
     "enumerate_tiles",
     "make_affinity",
     "pencil_coords",
+    "round_robin_pencils",
     "scatter_map",
     "static_round_robin",
     "tile_pixels",

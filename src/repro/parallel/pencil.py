@@ -10,12 +10,12 @@ one of the study's axes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Pencil", "enumerate_pencils", "pencil_coords", "PENCIL_AXES",
-           "PENCIL_ORDERS"]
+__all__ = ["Pencil", "enumerate_pencils", "round_robin_pencils",
+           "pencil_coords", "PENCIL_AXES", "PENCIL_ORDERS"]
 
 #: Pencil enumeration orders: ``scan`` is the paper's nested-loop order;
 #: ``morton`` and ``hilbert`` enumerate pencils along a space-filling
@@ -45,6 +45,28 @@ class Pencil:
             raise ValueError(f"axis must be 0, 1 or 2, got {self.axis}")
 
 
+def _fixed_extents(shape: Sequence[int], axis: int,
+                   order: str) -> Tuple[int, int]:
+    """Extents of a pencil's two fixed coordinates (validates the args)."""
+    if axis not in (0, 1, 2):
+        raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
+    if order not in PENCIL_ORDERS:
+        raise ValueError(f"order must be one of {PENCIL_ORDERS}, got {order!r}")
+    other = [a for a in range(3) if a != axis]
+    return shape[other[0]], shape[other[1]]
+
+
+def _curve_2d(order: str, lo_n: int, hi_n: int):
+    """The 2-D curve a ``morton``/``hilbert`` enumeration follows."""
+    if order == "morton":
+        from ..core.morton import MortonLayout2D
+
+        return MortonLayout2D((lo_n, hi_n))
+    from ..core.hilbert import HilbertLayout2D
+
+    return HilbertLayout2D((lo_n, hi_n))
+
+
 def enumerate_pencils(shape: Sequence[int], axis: int,
                       order: str = "scan") -> List[Pencil]:
     """All pencils along ``axis``, enumerated in the given ``order``.
@@ -54,13 +76,7 @@ def enumerate_pencils(shape: Sequence[int], axis: int,
     round-robin hands pencils to threads.  ``morton`` / ``hilbert``:
     space-filling-curve order over the two fixed coordinates.
     """
-    if axis not in (0, 1, 2):
-        raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
-    if order not in PENCIL_ORDERS:
-        raise ValueError(f"order must be one of {PENCIL_ORDERS}, got {order!r}")
-    other = [a for a in range(3) if a != axis]
-    lo_n = shape[other[0]]
-    hi_n = shape[other[1]]
+    lo_n, hi_n = _fixed_extents(shape, axis, order)
     pencils = [
         Pencil(axis=axis, fixed=(lo, hi))
         for hi in range(hi_n)
@@ -68,16 +84,40 @@ def enumerate_pencils(shape: Sequence[int], axis: int,
     ]
     if order == "scan":
         return pencils
-    if order == "morton":
-        from ..core.morton import MortonLayout2D
-
-        curve = MortonLayout2D((lo_n, hi_n))
-    else:
-        from ..core.hilbert import HilbertLayout2D
-
-        curve = HilbertLayout2D((lo_n, hi_n))
+    curve = _curve_2d(order, lo_n, hi_n)
     pencils.sort(key=lambda p: curve.index(p.fixed[0], p.fixed[1]))
     return pencils
+
+
+def round_robin_pencils(shape: Sequence[int], axis: int, n_threads: int,
+                        per_thread: int, threads: Iterable[int],
+                        order: str = "scan") -> Dict[int, List[Pencil]]:
+    """Each listed thread's first ``per_thread`` pencils of a round-robin deal.
+
+    Equal to ``static_round_robin(enumerate_pencils(shape, axis, order),
+    n_threads)[t][:per_thread]`` for every ``t`` in ``threads``, without
+    building the other pencils: round-robin gives thread ``t``
+    enumeration positions ``t, t + n_threads, …``.  Position ``p`` of the
+    ``scan`` order is the pencil ``(p mod n_lo, p div n_lo)``; a curve
+    order is the stable argsort of the curve's ``index_array`` over the
+    scan order.
+    """
+    if n_threads <= 0:
+        raise ValueError(f"n_threads must be positive, got {n_threads}")
+    lo_n, hi_n = _fixed_extents(shape, axis, order)
+    n = lo_n * hi_n
+    scan_pos = np.arange(n, dtype=np.int64)
+    if order != "scan":
+        key = _curve_2d(order, lo_n, hi_n).index_array(scan_pos % lo_n,
+                                                        scan_pos // lo_n)
+        scan_pos = np.argsort(key, kind="stable")
+    out: Dict[int, List[Pencil]] = {}
+    for t in threads:
+        if not 0 <= t < n_threads:
+            raise ValueError(f"thread {t} outside 0..{n_threads - 1}")
+        out[t] = [Pencil(axis=axis, fixed=(p % lo_n, p // lo_n))
+                  for p in scan_pos[t::n_threads][:per_thread].tolist()]
+    return out
 
 
 def pencil_coords(pencil: Pencil, shape: Sequence[int]) -> tuple:

@@ -29,6 +29,10 @@ class Tile:
         """Pixels covered by the tile."""
         return self.w * self.h
 
+    def n_rays(self, step: int = 1) -> int:
+        """Rays :func:`tile_pixels` casts at ray stride ``step``."""
+        return -(-self.w // step) * -(-self.h // step)
+
 
 def enumerate_tiles(width: int, height: int, tile: int = 32) -> List[Tile]:
     """All tiles of an image, row-major, with clipped edge tiles."""

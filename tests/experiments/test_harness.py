@@ -14,6 +14,7 @@ from repro.experiments import (
     run_volrend_cell,
 )
 from repro.experiments.harness import clear_caches
+from repro.instrument import trace
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +104,22 @@ class TestVolrendCell:
         res = run_volrend_cell(cell)
         # 4 tiles of 1024 px; 2 sampled at 1024/4 = 256 rays each
         assert res.sim.count_scale == pytest.approx(4096 / 512)
+
+    def test_extrapolation_counts_rays_cast(self, ivb):
+        """Clipped 31-px edge tiles at ray_step 2 cast 16x16 rays, not
+        31x31/4: scale by the rays the tile spans report."""
+        cell = VolrendCell(platform=ivb, shape=SHAPE, n_threads=2,
+                           image_size=63, tiles_per_thread=1, ray_step=2)
+        tracer = trace.enable()
+        try:
+            res = run_volrend_cell(cell)
+        finally:
+            trace.disable()
+        rays = sum(r["counters"]["rays"] for r in tracer.records
+                   if r["name"] == "volrend.tile")
+        assert rays == 2 * 16 * 16
+        assert res.sim.count_scale == 63 ** 2 / rays
+        assert res.sim.work_scale == (63 ** 2 / 2) / (16 * 16)
 
     def test_viewpoint_changes_stream(self, ivb):
         cell = VolrendCell(platform=ivb, shape=SHAPE, n_threads=2,

@@ -92,6 +92,12 @@ class TestTiles:
         assert list(px) == [0, 2, 0, 2]
         assert list(py) == [0, 0, 2, 2]
 
+    @given(st.integers(1, 40), st.integers(1, 40), st.integers(1, 5))
+    def test_n_rays_counts_tile_pixels(self, w, h, step):
+        tile = Tile(3, 5, w, h)
+        assert tile.n_rays(step) == tile_pixels(tile, step=step)[0].size
+        assert tile.n_rays() == tile.n_pixels
+
     def test_validation(self):
         with pytest.raises(ValueError):
             enumerate_tiles(0, 4)

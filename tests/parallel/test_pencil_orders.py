@@ -4,8 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.parallel import PENCIL_ORDERS, enumerate_pencils
+from repro.parallel import (
+    PENCIL_ORDERS,
+    enumerate_pencils,
+    round_robin_pencils,
+    static_round_robin,
+)
 
 
 class TestPencilOrders:
@@ -61,3 +68,32 @@ class TestPencilOrders:
         # ...but very different aspect: the curve block is square
         assert np.ptp(f_curve[:, 0]) + 1 == 4
         assert np.ptp(f_scan[:, 0]) + 1 == 16
+
+
+class TestRoundRobinPencils:
+    """The closed-form sample equals dealing every pencil and slicing."""
+
+    @given(st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)),
+           st.sampled_from([0, 1, 2]), st.sampled_from(PENCIL_ORDERS),
+           st.data())
+    def test_matches_static_round_robin(self, shape, axis, order, data):
+        pencils = enumerate_pencils(shape, axis, order=order)
+        n_threads = data.draw(st.integers(1, len(pencils)))
+        per_thread = data.draw(st.integers(0, 4))
+        dealt = static_round_robin(pencils, n_threads)
+        expected = {t: items[:per_thread] for t, items in dealt.items()}
+        assert round_robin_pencils(shape, axis, n_threads, per_thread,
+                                   range(n_threads), order=order) == expected
+        threads = data.draw(st.lists(st.integers(0, n_threads - 1),
+                                     unique=True, max_size=4))
+        subset = round_robin_pencils(shape, axis, n_threads, per_thread,
+                                     threads, order=order)
+        assert subset == {t: expected[t] for t in threads}
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError, match="n_threads"):
+            round_robin_pencils((4, 4, 4), 0, 0, 1, [])
+        with pytest.raises(ValueError, match="outside"):
+            round_robin_pencils((4, 4, 4), 0, 2, 1, [2])
+        with pytest.raises(ValueError, match="order must be one of"):
+            round_robin_pencils((4, 4, 4), 0, 2, 1, [0], order="spiral")
