@@ -15,8 +15,8 @@ read/write in source order, stamped with the number of await points
 crossed before it and the enclosing lock depth.  Two events with
 different await counts are separated by a scheduling opportunity; that
 is the window every rule below reasons about.  The runtime twin is the
-deterministic interleaving fuzzer (``scripts/fuzz_interleavings.py``),
-which perturbs the real scheduler and asserts the served bytes and
+deterministic interleaving fuzzer (``repro chaos fuzz``), which
+perturbs the real scheduler and asserts the served bytes and
 memsim-crosschecked counters do not move.
 """
 

@@ -12,6 +12,7 @@ Usage (also via ``python -m repro``):
     repro serve --order hilbert --queries 100    # chunked volume service
     repro serve-bench --shape 64                 # curve vs row-major gate
     repro cluster --faults shard-flap@2:at=8:down=6   # elastic sharding
+    repro chaos serve                            # one chaos gate
     repro sweep --capacities 8 16 32 64          # miss-ratio curve
 
 Figure subcommands accept ``--shape`` / ``--scale`` to trade fidelity
@@ -311,6 +312,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_clu.add_argument("--no-crosscheck", action="store_true",
                        help="skip the bit-identical comparison against "
                             "an undisturbed serving run")
+
+    # no shared observability flags: each scenario traces only its
+    # faulted run, never the undisturbed reference runs
+    p_chaos = sub.add_parser(
+        "chaos",
+        help="run one failure-injection scenario and check that the "
+             "system survived it (see docs/RESILIENCE.md)")
+    # the keys of repro.chaos.SCENARIOS, listed here so that building
+    # the parser does not import the serving stack
+    p_chaos.add_argument("scenario",
+                         choices=["smoke", "disk", "serve", "cluster",
+                                  "fuzz"])
+    p_chaos.add_argument("trace_path", nargs="?", default=None,
+                         metavar="TRACE",
+                         help="trace output path; the manifest lands "
+                              "beside it (default chaos_<scenario>.jsonl; "
+                              "fuzz writes none)")
 
     p_swp = sub.add_parser(
         "sweep", parents=[obs],
@@ -703,19 +721,13 @@ def _cmd_serve_bench(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
-    import hashlib
     import shutil
     import tempfile
 
+    from .chaos import check_served, cluster_stores, serve_cluster
     from .data.synthetic import combustion_field, mri_phantom
-    from .resilience.faults import active_plan, clear_faults, install_faults
-    from .serve import (
-        ChunkStore,
-        ShardCluster,
-        VolumeServer,
-        cache_crosscheck,
-        generate_queries,
-    )
+    from .resilience.faults import active_plan
+    from .serve import generate_queries
 
     shape = (args.shape, args.shape, args.shape)
     if args.dataset == "combustion":
@@ -724,38 +736,25 @@ def _cmd_cluster(args) -> int:
         dense = mri_phantom(shape)
     queries = generate_queries(shape, args.queries, seed=args.seed)
 
-    def hashes(results):
-        return [hashlib.sha256(np.ascontiguousarray(r.data).tobytes())
-                .hexdigest() for r in results if r.ok]
-
     tmp = tempfile.mkdtemp(prefix="repro-cluster-")
-    prior = active_plan().to_spec()
     try:
-        store = ChunkStore.create(
-            os.path.join(tmp, "store"), dense, order=args.order,
-            chunk=args.chunk,
-            chunks_per_segment=args.chunks_per_segment,
+        store, want = cluster_stores(
+            tmp, dense, queries, cache=args.cache,
+            crosscheck=not args.no_crosscheck, order=args.order,
+            chunk=args.chunk, chunks_per_segment=args.chunks_per_segment,
             replicas=args.replicas, shards=args.shards)
         print(f"store: shape {store.shape}, chunk {store.chunk_shape}, "
               f"order {store.order}, {store.n_segments} segments, "
               f"{store.replicas} replicas on {store.shards} shards")
-        want = None
-        if not args.no_crosscheck:
-            calm = ChunkStore.create(
-                os.path.join(tmp, "calm"), dense, order=args.order,
-                chunk=args.chunk,
-                chunks_per_segment=args.chunks_per_segment,
-                replicas=args.replicas, shards=args.shards)
-            server = VolumeServer(calm, cache=args.cache)
-            want = hashes([server.serve(q) for q in queries])
+        # --faults composes with any ambient REPRO_FAULTS plan
+        spec = ",".join(p for p in (active_plan().to_spec(), args.faults)
+                        if p)
         if args.faults:
-            spec = f"{prior},{args.faults}" if prior else args.faults
-            install_faults(spec)
             print(f"faults: {spec}")
-        cluster = ShardCluster(store, cache=args.cache,
-                               rebalance_budget=args.rebalance_budget,
-                               scrub_budget=args.scrub_budget)
-        results = cluster.serve_session(queries)
+        cluster, results = serve_cluster(
+            store, queries, spec, cache=args.cache,
+            rebalance_budget=args.rebalance_budget,
+            scrub_budget=args.scrub_budget)
         ok = sum(1 for r in results if r.ok)
         st = cluster.status()
         print(f"\nserved {ok}/{len(results)} queries over "
@@ -772,27 +771,32 @@ def _cmd_cluster(args) -> int:
         for v, c in enumerate(cluster.comparisons, start=1):
             print(f"  map v{v} (live {list(c.new_live)}): SFC moved "
                   f"{c.sfc_moved} vs block-Cartesian {c.cartesian_moved}")
-        if ok != len(results):
-            bad = [r for r in results if not r.ok]
-            print("FAIL: " + "; ".join(
-                f"{r.reason}: {r.error}" for r in bad[:3]))
+        cache = cluster.server.cache if want is not None else None
+        problems = check_served(results, want, cache)
+        for p in problems:
+            print(f"FAIL: {p}")
+        if problems:
             return 1
-        if want is not None:
-            if hashes(results) != want:
-                print("FAIL: served bytes differ from the undisturbed run")
-                return 1
-            check = cache_crosscheck(cluster.server.cache)
-            if not check.consistent:
-                print("CROSSCHECK FAIL: " + "; ".join(check.mismatches()))
-                return 1
+        if cache is not None:
             print(f"crosscheck: bit-identical to the undisturbed run; "
                   f"cache counters match memsim over "
-                  f"{check.accesses} accesses (exact)")
+                  f"{len(cache.access_log)} accesses (exact)")
         return 0
     finally:
-        if args.faults:
-            install_faults(prior) if prior else clear_faults()
         shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _cmd_chaos(args) -> int:
+    from .chaos import run_scenario
+
+    problems = run_scenario(
+        args.scenario, args.trace_path or f"chaos_{args.scenario}.jsonl")
+    for p in problems:
+        print(f"FAIL: {p}")
+    if problems:
+        return 1
+    print(f"OK: chaos {args.scenario} held")
+    return 0
 
 
 def _cmd_sweep(args) -> int:
@@ -851,6 +855,8 @@ def _dispatch(args) -> int:
         return _cmd_serve_bench(args)
     if args.command == "cluster":
         return _cmd_cluster(args)
+    if args.command == "chaos":
+        return _cmd_chaos(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -121,7 +121,7 @@ def _sanitize_entries(tracer: Tracer) -> Dict[str, Any]:
 def _serve_entries(tracer: Tracer) -> Dict[str, Any]:
     """The serving-reliability tallies :mod:`repro.serve` emits as
     ``serve.*`` counters (segments rebuilt, failovers, read repairs,
-    retries, hedges, shed queries, breaker transitions) — empty when
+    retries, shed queries, breaker transitions) — empty when
     no serving ran.
 
     The store and server count from inside whatever query span is

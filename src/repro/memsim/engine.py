@@ -228,10 +228,9 @@ class SimulationEngine:
         ``"scalar"`` always replays, one access at a time; it is the
         oracle the pricing is tested against.
     histogram_store : HistogramStore, optional
-        Where histogram pricing caches per-stream histograms.  Pass a
-        shared (optionally durable) store so capacity sweeps re-price
-        geometries without recomputing; defaults to a private in-memory
-        store.
+        Where histogram pricing memoizes per-stream histograms.  Pass
+        a shared store so capacity sweeps re-price geometries without
+        recomputing; defaults to a private store.
     """
 
     def __init__(self, spec: PlatformSpec, cost: Optional[CostModel] = None,

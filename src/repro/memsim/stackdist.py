@@ -89,14 +89,11 @@ one pass.
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..resilience import artifacts as _artifacts
 from .cache import CacheConfig
 from .hierarchy import LevelSpec, PlatformSpec
 
@@ -118,11 +115,8 @@ __all__ = [
 #: :data:`repro.analysis.reuse.INFINITE_DISTANCE`
 COLD = -1
 
-#: bumped whenever the on-disk histogram payload layout changes
+#: bumped whenever what a histogram key covers changes
 _HISTOGRAM_SCHEMA_VERSION = 1
-
-#: artifact-kind tag for sidecar integrity records
-_ARTIFACT_KIND = "stack-histogram"
 
 #: most (rows x columns) cells one block-scan slab of :func:`lru_hits`
 #: holds, which bounds the scan's temporaries whatever the stream
@@ -612,7 +606,7 @@ def fully_associative_spec(capacity_lines: int,
     )
 
 
-# -- durable histogram artifacts ------------------------------------------------
+# -- the histogram memo ---------------------------------------------------------
 
 
 def stream_key(lines: np.ndarray, thread_ids: np.ndarray) -> str:
@@ -631,96 +625,29 @@ def stream_key(lines: np.ndarray, thread_ids: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def _dump_histograms(hists: Dict[int, StackDistanceHistogram]) -> bytes:
-    """Serialize per-thread histograms: one JSON header line + raw arrays."""
-    header = {
-        "schema": _HISTOGRAM_SCHEMA_VERSION,
-        "threads": [
-            {"tid": tid, "cold": h.cold, "n": int(h.distances.size)}
-            for tid, h in sorted(hists.items())
-        ],
-    }
-    parts: List[bytes] = [json.dumps(header, sort_keys=True).encode("utf-8"),
-                          b"\n"]
-    for tid, h in sorted(hists.items()):
-        parts.append(np.ascontiguousarray(h.distances, dtype="<i8").tobytes())
-        parts.append(np.ascontiguousarray(h.counts, dtype="<i8").tobytes())
-    return b"".join(parts)
-
-
-def _load_histograms(data: bytes) -> Dict[int, StackDistanceHistogram]:
-    """Inverse of :func:`_dump_histograms` (raises ValueError on damage)."""
-    nl = data.index(b"\n")
-    header = json.loads(data[:nl].decode("utf-8"))
-    if header.get("schema") != _HISTOGRAM_SCHEMA_VERSION:
-        raise ValueError(f"unsupported histogram schema {header.get('schema')!r}")
-    out: Dict[int, StackDistanceHistogram] = {}
-    pos = nl + 1
-    for rec in header["threads"]:
-        n = int(rec["n"])
-        span = 8 * n
-        distances = np.frombuffer(data, dtype="<i8", count=n,
-                                  offset=pos).astype(np.int64)
-        counts = np.frombuffer(data, dtype="<i8", count=n,
-                               offset=pos + span).astype(np.int64)
-        pos += 2 * span
-        out[int(rec["tid"])] = StackDistanceHistogram(
-            distances=distances, counts=counts, cold=int(rec["cold"]))
-    if pos != len(data):
-        raise ValueError("trailing bytes after histogram payload")
-    return out
-
-
 class HistogramStore:
-    """Cache of per-thread histograms keyed by stream content.
+    """In-memory memo of per-thread histograms keyed by stream content.
 
-    Always memoizes in process; with a ``directory`` it additionally
-    persists each histogram bundle as a durable artifact
-    (:func:`repro.resilience.artifacts.write_artifact`: atomic replace
-    plus SHA-256 sidecar), so a later sweep — or another process —
-    re-prices new geometries without ever touching the trace again.  A
-    corrupt on-disk bundle is quarantined by the artifact layer and
-    transparently recomputed.
+    A capacity sweep re-prices one stream at many geometries; sharing
+    one store across those pricings computes each stream's histograms
+    once.  ``hits`` and ``misses`` count memo lookups.
     """
 
-    def __init__(self, directory: Optional[str] = None):
-        self.directory = os.fspath(directory) if directory is not None else None
+    def __init__(self):
         self._memory: Dict[str, Dict[int, StackDistanceHistogram]] = {}
         self.hits = 0
         self.misses = 0
-
-    def _path_for(self, key: str) -> str:
-        return os.path.join(self.directory, f"stackhist-{key}.bin")
 
     def get_or_compute(
         self, key: str,
         compute: Callable[[], Dict[int, StackDistanceHistogram]],
     ) -> Dict[int, StackDistanceHistogram]:
-        """Fetch the bundle for ``key``, computing and persisting on miss."""
+        """Fetch the bundle for ``key``, computing it on a miss."""
         cached = self._memory.get(key)
         if cached is not None:
             self.hits += 1
             return cached
-        if self.directory is not None:
-            path = self._path_for(key)
-            if os.path.exists(path):
-                try:
-                    hists = _load_histograms(
-                        _artifacts.read_artifact(path, require_sidecar=True))
-                except (_artifacts.ArtifactIntegrityError, ValueError,
-                        KeyError, OSError):
-                    pass  # quarantined/damaged: recompute below
-                else:
-                    self._memory[key] = hists
-                    self.hits += 1
-                    return hists
         self.misses += 1
         hists = compute()
         self._memory[key] = hists
-        if self.directory is not None:
-            os.makedirs(self.directory, exist_ok=True)
-            _artifacts.write_artifact(
-                self._path_for(key), _dump_histograms(hists),
-                kind=_ARTIFACT_KIND,
-                schema_version=_HISTOGRAM_SCHEMA_VERSION)
         return hists

@@ -57,7 +57,7 @@ every read routed to that shard:
     next replica (then read-repair rewrites the bad copy);
 ``segread-slow``
     the i-th segment read stalls for ``seconds`` before returning —
-    models a degraded disk/replica; hedging and deadlines must engage;
+    models a degraded disk/replica; deadlines must engage;
 ``shard-down``
     every read addressed to shard ``index`` raises
     :class:`InjectedFault` — models a dead shard; the per-shard

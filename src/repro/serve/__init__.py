@@ -15,8 +15,8 @@ space to a storage-and-query service:
 * :mod:`~repro.serve.reliability` — the fault-tolerance layer:
   N-way segment replication across simulated shards (placement keyed
   by curve-segment ranges), read-path failover with read-repair,
-  per-query deadlines, retries, hedged reads, per-shard circuit
-  breakers and bounded admission with typed load-shedding
+  per-query deadlines, retries, per-shard circuit breakers and
+  bounded admission with typed load-shedding
   (``docs/SERVING.md`` § Serving reliability);
 * :mod:`~repro.serve.placement` — the curve-range shard placement
   (:class:`~repro.serve.placement.ShardMap`): the store's static
@@ -30,10 +30,10 @@ space to a storage-and-query service:
   viewpoints, orbit sweeps, burst arrivals);
 * :mod:`~repro.serve.fuzz` — seeded scheduling perturbation
   (:class:`~repro.serve.fuzz.ScheduleFuzzer`): the runtime twin of the
-  RPC5xx static rules, driven by ``scripts/fuzz_interleavings.py`` to
-  prove served bytes are interleaving-independent;
+  RPC5xx static rules, driven by ``repro chaos fuzz`` to prove served
+  bytes are interleaving-independent;
 * :mod:`~repro.serve.bench` — the cross-layout comparison
-  (``repro serve-bench`` / ``scripts/bench_serve.py``) with its gate:
+  (``repro serve-bench``) with its gate:
   curve orders must touch no more segments per query than row-major.
 
 See ``docs/SERVING.md`` for the tour.

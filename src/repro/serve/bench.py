@@ -13,8 +13,8 @@ several ways (row-major baseline vs space-filling curves), replay the
 
 The **gate** asserts the paper's claim transplanted to storage: a
 curve order must touch no more segments per bbox query than the
-row-major baseline.  ``scripts/bench_serve.py`` and ``repro
-serve-bench`` are thin wrappers over :func:`run_serve_bench`.
+row-major baseline.  ``repro serve-bench`` is a thin wrapper over
+:func:`run_serve_bench`.
 """
 
 from __future__ import annotations

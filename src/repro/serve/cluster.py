@@ -34,9 +34,9 @@ deterministic and clock-free so a chaos run replays exactly:
 Membership chaos is driven by ``shard-kill`` / ``shard-join`` /
 ``shard-flap`` fault specs keyed on the event counter
 (:mod:`repro.resilience.faults`), or an explicit ``schedule``.
-``scripts/chaos_cluster.py`` is the CI gate: rolling kills plus a
-rejoin must serve 100% of queries byte-identical to the undisturbed
-run with the exact memsim crosscheck intact.
+``repro chaos cluster`` is the CI gate: rolling kills plus a rejoin
+must serve 100% of queries byte-identical to the undisturbed run with
+the exact memsim crosscheck intact.
 """
 
 from __future__ import annotations

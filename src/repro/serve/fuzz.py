@@ -15,8 +15,8 @@ awaits :meth:`ScheduleFuzzer.point` at its safe scheduling seams (query
 arrival, and post-admission before processing).  Each call inserts
 0–2 ``await asyncio.sleep(0)`` round-trips chosen by a private
 ``random.Random(seed)``, so a given seed reproduces one exact
-interleaving — a divergence found by ``scripts/fuzz_interleavings.py``
-can be replayed under a debugger with the same seed.
+interleaving — a divergence found by ``repro chaos fuzz`` can be
+replayed under a debugger with the same seed.
 
 The hook deliberately *cannot* be invoked between the admission check
 and the in-flight increment (the server keeps that pair atomic

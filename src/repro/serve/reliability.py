@@ -18,10 +18,9 @@ the same resilience primitives the experiment harness uses
   half-opens and lets exactly one probe through.  Success closes it,
   failure re-trips.  No wall clock means a chaos run replays the same
   state machine every time.
-* :class:`ReadPolicy` — the store-facing bundle: breaker routing,
-  hedged replica ordering for shards observed slow, and the deadline
-  hook.  :meth:`~repro.serve.store.ChunkStore.read_segment` consults
-  it on every replica attempt.
+* :class:`ReadPolicy` — the store-facing bundle: breaker routing and
+  the deadline hook.  :meth:`~repro.serve.store.ChunkStore.read_segment`
+  consults it on every replica attempt.
 * :class:`QueryRejected` — the typed result a shed / failed query
   returns.  Rejection is an *answer*, never a hang: a session's
   results always line up 1:1 with its queries, and every rejection is
@@ -35,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from ..instrument import trace as _trace
 from ..resilience.policy import RetryPolicy
@@ -150,18 +149,12 @@ class ReliabilityConfig:
     disables admission control (nothing is ever shed).  ``retry`` is a
     standard :class:`~repro.resilience.policy.RetryPolicy` — a failed
     *query attempt* (not a single replica read) is retried per its
-    classification, each retry with a fresh deadline.  ``hedge`` turns
-    on hedged replica ordering: a read observed slower than
-    ``hedge_threshold_s`` marks its shard, and the next read whose
-    primary lands on a marked shard starts from the secondary replica
-    instead of waiting on the slow one.
+    classification, each retry with a fresh deadline.
     """
 
     deadline_s: Optional[float] = None
     max_inflight: Optional[int] = None
     retry: RetryPolicy = RetryPolicy(max_retries=2, backoff_base=0.01)
-    hedge: bool = False
-    hedge_threshold_s: float = 0.05
     breaker_threshold: int = 3
     breaker_probe_after: int = 8
 
@@ -197,8 +190,8 @@ class QueryRejected:
 class ReadPolicy:
     """The store-facing routing policy one server instance owns.
 
-    Holds the per-shard breakers and the slow-shard marks hedging
-    feeds; the server refreshes :attr:`deadline` per query attempt.
+    Holds the per-shard breakers; the server refreshes
+    :attr:`deadline` per query attempt.
     Store and server mutate it only inside synchronous processing
     sections, so no locks are needed and replays are deterministic.
     """
@@ -206,7 +199,6 @@ class ReadPolicy:
     def __init__(self, config: ReliabilityConfig):
         self.config = config
         self.breakers: Dict[int, CircuitBreaker] = {}
-        self.slow_shards: Dict[int, int] = {}
         self.deadline: Optional[Deadline] = None
 
     def breaker(self, shard: int) -> CircuitBreaker:
@@ -222,11 +214,8 @@ class ReadPolicy:
         """Breaker gate for one replica read."""
         return self.breaker(shard).allow()
 
-    def on_success(self, shard: int, seconds: float) -> None:
+    def on_success(self, shard: int) -> None:
         self.breaker(shard).record_success()
-        if self.config.hedge and seconds > self.config.hedge_threshold_s:
-            self.slow_shards[shard] = self.slow_shards.get(shard, 0) + 1
-            _trace.add("serve.reliability_slow_reads", 1)
 
     def on_failure(self, shard: int) -> None:
         self.breaker(shard).record_failure()
@@ -236,19 +225,3 @@ class ReadPolicy:
         spent (no-op when no deadline is set)."""
         if self.deadline is not None:
             self.deadline.check()
-
-    def order_shards(self, shards: Sequence[int]) -> List[int]:
-        """The order to try ``shards`` (placement order, primary first)
-        for one :meth:`~repro.serve.store.ChunkStore.read_segment`.
-
-        When hedging is on and the primary shard was recently observed
-        slow, one slow-mark is consumed and the list rotates so the
-        next copy goes first — the hedged read — while the primary
-        stays available as failover.
-        """
-        if self.config.hedge and len(shards) > 1 \
-                and self.slow_shards.get(shards[0], 0) > 0:
-            self.slow_shards[shards[0]] -= 1
-            _trace.add("serve.reliability_hedges", 1)
-            return [*shards[1:], shards[0]]
-        return list(shards)

@@ -29,8 +29,8 @@ order.
 Resilience: constructed with a :class:`~repro.serve.reliability.
 ReliabilityConfig`, the server adds per-query deadlines (checked
 cooperatively between segment reads), retry-policy-driven re-attempts
-(each with a fresh deadline), per-shard circuit breaking and hedged
-replica reads on the store path, and bounded admission in
+(each with a fresh deadline), per-shard circuit breaking on the
+store path, and bounded admission in
 :meth:`session` — queries beyond ``max_inflight`` are *shed* with a
 typed :class:`~repro.serve.reliability.QueryRejected`, never hung.
 Without a config every failure raises, exactly as before.

@@ -552,26 +552,22 @@ class ChunkStore:
         reachable subset of them.
 
         ``policy`` — an optional :class:`~repro.serve.reliability.
-        ReadPolicy` supplying deadline checks, breaker routing and
-        hedged ordering (:meth:`~repro.serve.reliability.ReadPolicy.
-        order_shards`); without one, every shard is tried in order.
+        ReadPolicy` supplying deadline checks and breaker routing;
+        either way the shards are tried in placement order.
         """
         n = self.segment_chunk_count(seg)
         expected = n * self.chunk_bytes
         placed = self.placement.replicas_of(seg) if locations is None \
             else locations
-        shards = placed
         if policy is not None:
             policy.check_deadline()
-            shards = policy.order_shards(placed)
         data: Optional[bytes] = None
         bad: List[int] = []   # shards whose copy is corrupt or missing
         quarantined: Optional[str] = None
-        for shard in shards:
+        for shard in placed:
             if policy is not None and not policy.allow_shard(shard):
                 _trace.add("serve.reliability_breaker_denied", 1)
                 continue
-            started = time.perf_counter()
             try:
                 data = self._read_replica(seg, shard, expected)
             except _artifacts.ArtifactIntegrityError as exc:
@@ -583,7 +579,7 @@ class ChunkStore:
                 bad.append(shard)  # copy missing with its sidecar
             else:
                 if policy is not None:
-                    policy.on_success(shard, time.perf_counter() - started)
+                    policy.on_success(shard)
                 break
             if policy is not None:
                 policy.on_failure(shard)

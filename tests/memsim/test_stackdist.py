@@ -35,8 +35,7 @@ from repro.memsim import (
     stack_ineligibility,
 )
 from repro.memsim.prefetch import PrefetchConfig
-from repro.memsim.stackdist import _dump_histograms, _load_histograms, stream_key
-from repro.resilience.artifacts import sidecar_path
+from repro.memsim.stackdist import stream_key
 from tests.analysis.test_analysis import _reuse_stack
 
 lines_st = st.lists(st.integers(0, 40), min_size=0, max_size=300)
@@ -153,52 +152,6 @@ class TestPerThread:
 
 
 class TestHistogramStore:
-    def test_roundtrip_serialization(self):
-        rng = np.random.default_rng(4)
-        lines = rng.integers(0, 30, size=200)
-        tids = rng.integers(0, 2, size=200)
-        hists = per_thread_histograms(lines, tids)
-        back = _load_histograms(_dump_histograms(hists))
-        assert set(back) == set(hists)
-        for tid in hists:
-            assert back[tid].as_dict() == hists[tid].as_dict()
-
-    def test_durable_cache_across_stores(self, tmp_path):
-        rng = np.random.default_rng(5)
-        lines = rng.integers(0, 30, size=300)
-        tids = np.zeros(300, dtype=np.int64)
-        key = stream_key(lines, tids)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return per_thread_histograms(lines, tids)
-
-        first = HistogramStore(str(tmp_path))
-        a = first.get_or_compute(key, compute)
-        # a second store (fresh process, conceptually) reads the artifact
-        second = HistogramStore(str(tmp_path))
-        b = second.get_or_compute(key, compute)
-        assert len(calls) == 1
-        assert a[0].as_dict() == b[0].as_dict()
-        assert first.misses == 1 and second.hits == 1
-
-    def test_corrupt_artifact_recomputed(self, tmp_path):
-        lines = np.array([1, 2, 1, 3, 1], dtype=np.int64)
-        tids = np.zeros(5, dtype=np.int64)
-        key = stream_key(lines, tids)
-        store = HistogramStore(str(tmp_path))
-        good = store.get_or_compute(
-            key, lambda: per_thread_histograms(lines, tids))
-        (artifact,) = [p for p in tmp_path.iterdir()
-                       if p.suffix == ".bin"]
-        artifact.write_bytes(b"garbage")
-        fresh = HistogramStore(str(tmp_path))
-        again = fresh.get_or_compute(
-            key, lambda: per_thread_histograms(lines, tids))
-        assert again[0].as_dict() == good[0].as_dict()
-        assert fresh.misses == 1  # recomputed, not trusted
-
     def test_capacity_not_part_of_key(self):
         # the whole point: one histogram prices every geometry
         lines = np.array([1, 2, 3, 1], dtype=np.int64)
@@ -207,14 +160,6 @@ class TestHistogramStore:
         k1 = stream_key(lines, tids)
         store.get_or_compute(k1, lambda: per_thread_histograms(lines, tids))
         assert store.get_or_compute(k1, lambda: pytest.fail("recomputed"))
-
-    def test_memory_only_store_writes_nothing(self, tmp_path):
-        store = HistogramStore()
-        lines = np.array([1, 2], dtype=np.int64)
-        tids = np.zeros(2, dtype=np.int64)
-        store.get_or_compute(stream_key(lines, tids),
-                             lambda: per_thread_histograms(lines, tids))
-        assert list(tmp_path.iterdir()) == []
 
 
 def _works(rng, spec, n_threads, n, k, collapsed=0):
@@ -419,14 +364,3 @@ class TestStackFallback:
             with pytest.raises(ValueError, match="backend") as err:
                 SimulationEngine(fully_associative_spec(8), backend=backend)
             assert "'auto'" in str(err.value) and "'scalar'" in str(err.value)
-
-
-class TestArtifactHygiene:
-    def test_store_writes_integrity_sidecars(self, tmp_path):
-        lines = np.array([1, 2, 3], dtype=np.int64)
-        tids = np.zeros(3, dtype=np.int64)
-        store = HistogramStore(str(tmp_path))
-        store.get_or_compute(stream_key(lines, tids),
-                             lambda: per_thread_histograms(lines, tids))
-        (artifact,) = [p for p in tmp_path.iterdir() if p.suffix == ".bin"]
-        assert (tmp_path / sidecar_path(str(artifact)).rsplit("/", 1)[-1]).exists()

@@ -21,7 +21,6 @@ from repro.serve import (
     Deadline,
     DeadlineExceeded,
     QueryRejected,
-    ReadPolicy,
     ReliabilityConfig,
     VolumeServer,
     cache_crosscheck,
@@ -322,31 +321,6 @@ class TestAdmission:
         # healthy queries never suspend mid-flight, so the single slot
         # turns over and nothing is shed
         assert all(r.ok for r in results)
-
-
-class TestHedging:
-    def test_slow_read_marks_shard_and_hedges_next_read(self, replicated):
-        policy = ReadPolicy(ReliabilityConfig(hedge=True,
-                                              hedge_threshold_s=0.0))
-        # segments 0 and 1 share primary shard 0 (contiguous ranges)
-        assert replicated.shard_of_segment(0) \
-            == replicated.shard_of_segment(1) == 0
-        replicated.read_segment(0, policy=policy)  # any read is "slow" at 0s
-        assert policy.slow_shards.get(0, 0) == 1
-        placed = replicated.placement.replicas_of(1)
-        assert placed == (0, 1)
-        order = policy.order_shards(placed)
-        assert order == [1, 0]  # hedged: secondary first
-        assert policy.slow_shards[0] == 0  # the mark was consumed
-        order = policy.order_shards(placed)
-        assert order == [0, 1]  # back to placement order
-
-    def test_hedging_off_keeps_placement_order(self, replicated):
-        policy = ReadPolicy(ReliabilityConfig())
-        replicated.read_segment(0, policy=policy)
-        assert policy.slow_shards == {}
-        assert policy.order_shards(replicated.placement.replicas_of(1)) \
-            == [0, 1]
 
 
 class TestManifest:
