@@ -20,7 +20,7 @@ problem list (empty means it held); :func:`run_scenario` runs one by
 name.  A traced scenario records only its faulted run — the undisturbed
 reference runs stay out of the trace, so the manifest's tallies describe
 the chaos alone — to ``TRACE`` plus ``TRACE.manifest.json``, which
-``scripts/validate_trace.py TRACE`` cross-checks; ``fuzz`` writes no
+``repro trace validate TRACE`` cross-checks; ``fuzz`` writes no
 trace.  :func:`run_scenario` suspends the ambient tracer and fault plan
 while the scenario runs and puts them back afterwards, so running one
 in-process neither records into nor leaks past its caller.  See
@@ -256,9 +256,8 @@ def _describe(store: ChunkStore) -> str:
 # -- cell batches: smoke and disk ---------------------------------------------
 
 def _cells() -> List[BilateralCell]:
-    # 48^3 keeps each cell fast but long enough that per-phase durations
-    # dwarf scheduler noise — the validate_trace.py cross-check compares
-    # phase sums to wall clock within 10%
+    # 48^3: tens of milliseconds per cell.  The trace check does not
+    # depend on the size: the phases tile each cell at any length
     base = BilateralCell(platform=default_ivybridge(64), shape=(48, 48, 48),
                          n_threads=2, stencil="r1", pencils_per_thread=1)
     return [replace(base, layout=layout, n_threads=n)

@@ -32,7 +32,7 @@ import ast
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Type
 
 __all__ = ["Rule", "rule", "RULES", "FAMILIES", "select_codes",
-           "dotted_name", "iter_rule_classes"]
+           "dotted_name"]
 
 #: code -> rule class, populated by the @rule decorator
 RULES: Dict[str, Type["Rule"]] = {}
@@ -103,11 +103,6 @@ def rule(cls: Type[Rule]) -> Type[Rule]:
         raise ValueError(f"duplicate rule code {cls.code}")
     RULES[cls.code] = cls
     return cls
-
-
-def iter_rule_classes() -> List[Type[Rule]]:
-    """All registered rule classes, ordered by code."""
-    return [RULES[code] for code in sorted(RULES)]
 
 
 def select_codes(selectors: Optional[Sequence[str]]) -> List[str]:

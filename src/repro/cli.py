@@ -13,6 +13,7 @@ Usage (also via ``python -m repro``):
     repro serve-bench --shape 64                 # curve vs row-major gate
     repro cluster --faults shard-flap@2:at=8:down=6   # elastic sharding
     repro chaos serve                            # one chaos gate
+    repro trace validate run.jsonl               # trace + manifest check
     repro sweep --capacities 8 16 32 64          # miss-ratio curve
 
 Figure subcommands accept ``--shape`` / ``--scale`` to trade fidelity
@@ -28,6 +29,7 @@ restart where a killed run stopped), ``--retries N`` and
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from typing import List, Optional
@@ -51,9 +53,12 @@ from .experiments import (
 )
 from .instrument import (
     build_manifest,
+    cross_check,
     render_summary,
     scaled_relative_difference,
     trace,
+    validate_manifest,
+    validate_trace_file,
     write_manifest,
 )
 from .memsim.platforms import PLATFORMS, get_platform
@@ -329,6 +334,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="trace output path; the manifest lands "
                               "beside it (default chaos_<scenario>.jsonl; "
                               "fuzz writes none)")
+
+    # positionals named apart from the shared --trace/--manifest flags,
+    # which would trace the run over its own input
+    p_tval = sub.add_parser("trace", help="inspect a trace file") \
+        .add_subparsers(dest="action", required=True).add_parser(
+            "validate", help="check a trace + manifest pair: schemas, "
+            "phases that tile every cell, the serve section")
+    p_tval.add_argument("trace_path", metavar="TRACE")
+    p_tval.add_argument("manifest_path", nargs="?", metavar="MANIFEST",
+                        help="default TRACE.manifest.json")
 
     p_swp = sub.add_parser(
         "sweep", parents=[obs],
@@ -799,6 +814,24 @@ def _cmd_chaos(args) -> int:
     return 0
 
 
+def _cmd_trace(args) -> int:
+    manifest_path = args.manifest_path or args.trace_path + ".manifest.json"
+    try:
+        n_spans = validate_trace_file(args.trace_path)
+        with open(manifest_path) as fh:
+            manifest = validate_manifest(json.load(fh))
+        problems = cross_check(args.trace_path, manifest)
+    except ValueError as exc:  # a schema problem, or not JSON at all
+        problems = [str(exc)]
+    for p in problems:
+        print(f"FAIL: {p}")
+    if problems:
+        return 1
+    print(f"OK: {n_spans} spans, {len(manifest['cells'])} cells, "
+          f"phases tile every cell")
+    return 0
+
+
 def _cmd_sweep(args) -> int:
     from .experiments import capacity_sweep, rows_to_csv
     from .memsim.stackdist import fully_associative_spec
@@ -859,6 +892,8 @@ def _dispatch(args) -> int:
         return _cmd_chaos(args)
     if args.command == "sweep":
         return _cmd_sweep(args)
+    if args.command == "trace":
+        return _cmd_trace(args)
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -211,10 +211,6 @@ class BlockDecomposition:
 
     # -- queries ------------------------------------------------------------------
 
-    def rank_of_block(self, bi: int, bj: int, bk: int) -> int:
-        """Owning rank of block grid coordinate ``(bi, bj, bk)``."""
-        return self._rank_of[(bi, bj, bk)]
-
     def rank_of_voxel(self, i: int, j: int, k: int) -> int:
         """Owning rank of voxel ``(i, j, k)``."""
         bx, by, bz = self.block

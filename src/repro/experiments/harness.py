@@ -4,16 +4,16 @@ A cell run is: build (or fetch cached) dataset and grid → decompose the
 work and assign it to threads the way the paper's code does → render the
 sampled work items to access streams → simulate on the platform's cache
 hierarchy → extrapolate the sampled counters/runtime to the full
-workload.  Both runners return a :class:`CellResult` carrying the
-simulated runtime and the platform counters, which the figure drivers
-pair up into the paper's d_s tables.
+workload.  :func:`run_cell` runs every cell, of either kind, and
+returns a :class:`CellResult` carrying the simulated runtime and the
+platform counters, which the figure drivers pair up into the paper's
+d_s tables.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -43,11 +43,14 @@ __all__ = [
     "CellResult",
     "PreparedCell",
     "prepare_cell",
+    "run_cell",
     "run_bilateral_cell",
     "run_volrend_cell",
     "simulate_prepared",
     "clear_caches",
 ]
+
+Cell = Union[BilateralCell, VolrendCell]
 
 #: transfer-function presets selectable from VolrendCell.transfer
 _TRANSFERS = {
@@ -108,9 +111,9 @@ class CellResult:
     n_threads_simulated : int
         Threads actually driven through the simulator.
     wall_seconds : float
-        Host wall-clock time this cell took to simulate (throughput
-        telemetry for BENCH_*.json; excluded from equality so parallel
-        and serial runs of the same cell compare equal).
+        Host wall-clock time of the cell's run, the duration of its
+        ``cell`` span (throughput telemetry; excluded from equality so
+        parallel and serial runs of the same cell compare equal).
     """
 
     runtime_seconds: float
@@ -210,24 +213,6 @@ def _prepare_bilateral(cell: BilateralCell) -> PreparedCell:
                         n_threads_simulated=len(sampled_assignment))
 
 
-def run_bilateral_cell(cell: BilateralCell) -> CellResult:
-    """Run one Figure-2/3 cell: bilateral filter counters + runtime."""
-    with _trace.span("cell", kind="bilateral", layout=cell.layout,
-                     platform=cell.platform.name, seed=cell.seed,
-                     shape=list(cell.shape), threads=cell.n_threads,
-                     config=config_hash(cell)) as cell_sp:
-        # the clock starts after the config hash, which is trace
-        # metadata rather than the cell's own work
-        t0 = time.perf_counter()
-        prepared = _prepare_bilateral(cell)
-        result = simulate_prepared(cell, prepared)
-        wall = time.perf_counter() - t0
-        cell_sp.set("wall_seconds", wall)
-        cell_sp.add("sim_runtime_seconds", result.runtime_seconds)
-        result.wall_seconds = wall
-        return result
-
-
 def _prepare_volrend(cell: VolrendCell) -> PreparedCell:
     """Setup + trace generation for one Figure-4/5/6 raycasting cell."""
     shape = tuple(cell.shape)
@@ -317,25 +302,20 @@ def _prepare_volrend(cell: VolrendCell) -> PreparedCell:
                         n_threads_simulated=len(sampled_assignment))
 
 
-def run_volrend_cell(cell: VolrendCell) -> CellResult:
-    """Run one Figure-4/5/6 cell: raycasting counters + runtime."""
-    with _trace.span("cell", kind="volrend", layout=cell.layout,
-                     platform=cell.platform.name, seed=cell.seed,
-                     shape=list(cell.shape), threads=cell.n_threads,
-                     config=config_hash(cell)) as cell_sp:
-        # the clock starts after the config hash, which is trace
-        # metadata rather than the cell's own work
-        t0 = time.perf_counter()
-        prepared = _prepare_volrend(cell)
-        result = simulate_prepared(cell, prepared)
-        wall = time.perf_counter() - t0
-        cell_sp.set("wall_seconds", wall)
-        cell_sp.add("sim_runtime_seconds", result.runtime_seconds)
-        result.wall_seconds = wall
-        return result
+#: each cell type's span ``kind`` and its setup + trace generation
+_KINDS = {
+    BilateralCell: ("bilateral", _prepare_bilateral),
+    VolrendCell: ("volrend", _prepare_volrend),
+}
 
 
-def prepare_cell(cell: Union[BilateralCell, VolrendCell]) -> PreparedCell:
+def _kind_of(cell: Cell):
+    if type(cell) not in _KINDS:
+        raise TypeError(f"not an experiment cell: {type(cell).__name__}")
+    return _KINDS[type(cell)]
+
+
+def prepare_cell(cell: Cell) -> PreparedCell:
     """Generate a cell's traces without simulating them.
 
     The returned :class:`PreparedCell` can be priced against any number
@@ -344,14 +324,43 @@ def prepare_cell(cell: Union[BilateralCell, VolrendCell]) -> PreparedCell:
     that, preparing once per parameter point and re-pricing per cache
     geometry.
     """
-    if isinstance(cell, BilateralCell):
-        return _prepare_bilateral(cell)
-    if isinstance(cell, VolrendCell):
-        return _prepare_volrend(cell)
-    raise TypeError(f"not an experiment cell: {type(cell).__name__}")
+    return _kind_of(cell)[1](cell)
 
 
-def simulate_prepared(cell: Union[BilateralCell, VolrendCell],
+def run_cell(cell: Cell, prepared: Optional[PreparedCell] = None,
+             **simulate) -> CellResult:
+    """Run one cell of either kind; the one place a ``cell`` span is
+    opened and a cell's wall clock read.
+
+    The span is :func:`~repro.instrument.trace.tiled`: ``cell.setup``,
+    ``cell.trace_gen``, ``cell.simulate`` and the remainder
+    ``cell.finish`` share their boundaries, so they sum to
+    ``wall_seconds``.  ``prepared`` skips preparation and ``simulate``
+    forwards to :func:`simulate_prepared`, which is how the capacity
+    sweep prices one preparation against many platforms.
+    """
+    kind, prepare = _kind_of(cell)
+    attrs = {}
+    if _trace.current() is not None:
+        attrs = dict(kind=kind, layout=cell.layout,
+                     platform=cell.platform.name, seed=cell.seed,
+                     shape=list(cell.shape), threads=cell.n_threads,
+                     config=config_hash(cell))
+    with _trace.tiled("cell", **attrs) as cell_sp:
+        if prepared is None:
+            prepared = prepare(cell)
+        # the module global, so a wrapper installed on it is called
+        result = simulate_prepared(cell, prepared, **simulate)
+        cell_sp.add("sim_runtime_seconds", result.runtime_seconds)
+    result.wall_seconds = cell_sp.duration
+    return result
+
+
+#: the per-kind names: Figure-2/3 bilateral and Figure-4/5/6 volrend cells
+run_bilateral_cell = run_volrend_cell = run_cell
+
+
+def simulate_prepared(cell: Cell,
                       prepared: PreparedCell,
                       *,
                       platform: Optional[PlatformSpec] = None,
@@ -363,9 +372,9 @@ def simulate_prepared(cell: Union[BilateralCell, VolrendCell],
     ``platform``/``backend`` override the cell's own (the capacity
     sweep re-prices one preparation against many cache geometries);
     ``histogram_store`` lets those re-pricings share stack-distance
-    histograms so each trace is analyzed once.
+    histograms so each trace is analyzed once.  The result's
+    ``wall_seconds`` is left to :func:`run_cell`, which times the cell.
     """
-    t0 = time.perf_counter()
     spec = platform if platform is not None else cell.platform
     with _trace.span("cell.simulate"):
         engine = SimulationEngine(
@@ -381,5 +390,4 @@ def simulate_prepared(cell: Union[BilateralCell, VolrendCell],
         counters=sim.counters,
         sim=sim,
         n_threads_simulated=prepared.n_threads_simulated,
-        wall_seconds=time.perf_counter() - t0,
     )

@@ -76,13 +76,10 @@ from ..resilience.governor import Admission, Governor
 from ..resilience.policy import RetryPolicy, classify_error, memory_pressure
 from ..resilience.pool import JobOutcome, SupervisedPool
 from ..resilience.validate import corrupt_payload, validate_outcome
-from .config import BilateralCell, VolrendCell
-from .harness import CellResult, run_bilateral_cell, run_volrend_cell
+from .harness import Cell, CellResult, run_cell
 
 __all__ = ["run_cell", "run_cells_parallel", "resolve_workers",
            "CellFailure", "CellRunError"]
-
-Cell = Union[BilateralCell, VolrendCell]
 
 
 @dataclass
@@ -130,15 +127,6 @@ class CellRunError(RuntimeError):
             lines.append("    " + "    ".join(
                 f.traceback.splitlines(keepends=True)))
         super().__init__("\n".join(lines))
-
-
-def run_cell(cell: Cell) -> CellResult:
-    """Run one cell of either kind (module-level, hence picklable)."""
-    if isinstance(cell, BilateralCell):
-        return run_bilateral_cell(cell)
-    if isinstance(cell, VolrendCell):
-        return run_volrend_cell(cell)
-    raise TypeError(f"not an experiment cell: {type(cell).__name__}")
 
 
 def _run_cell_job(job: Tuple[int, Cell, bool, int],
@@ -290,9 +278,10 @@ def run_cells_parallel(cells: Sequence[Cell],
         rlimit_bytes = admission.rlimit_bytes
         job_traced = traced and admission.capture_trace
 
-    hashes = [config_hash(cell) for cell in cells]
+    hashes: List[str] = []
     restored: Dict[int, CellResult] = {}
     if store is not None:
+        hashes = [config_hash(cell) for cell in cells]
         if resume:
             completed = store.load()
             restored = {i: completed[h] for i, h in enumerate(hashes)

@@ -23,8 +23,6 @@ import traceback
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ..instrument import trace as _trace
-from ..instrument.manifest import config_hash
 from ..instrument.metrics import scaled_relative_difference
 from ..memsim.hierarchy import PlatformSpec
 from ..memsim.stackdist import HistogramStore, fully_associative_spec, prices_by_histogram
@@ -32,12 +30,10 @@ from ..resilience import artifacts as _artifacts
 from ..resilience.checkpoint import CheckpointStore
 from ..resilience.policy import RetryPolicy
 from .config import BilateralCell, VolrendCell
-from .harness import CellResult, prepare_cell, simulate_prepared
+from .harness import Cell, CellResult, prepare_cell, run_cell
 from .parallel import CellFailure, CellRunError, run_cells_parallel
 
 __all__ = ["capacity_sweep", "sweep_cells", "compare_layouts", "rows_to_csv"]
-
-Cell = Union[BilateralCell, VolrendCell]
 
 
 def _check_cell(cell: Cell) -> None:
@@ -128,14 +124,7 @@ def _run_capacity_sweep(cells: List[Cell],
             prep = prepared[group]
             if isinstance(prep, Exception):
                 raise prep
-            with _trace.span("cell", kind=type(cell).__name__,
-                             layout=cell.layout,
-                             platform=cell.platform.name, seed=cell.seed,
-                             config=config_hash(cell),
-                             backend="stack") as sp:
-                results[i] = simulate_prepared(cell, prep,
-                                               histogram_store=store)
-                sp.set("wall_seconds", results[i].wall_seconds)
+            results[i] = run_cell(cell, prep, histogram_store=store)
         except Exception as exc:
             failures.append(CellFailure(
                 index=i, cell=cell,

@@ -17,6 +17,7 @@ from .manifest import (
     MANIFEST_SCHEMA_VERSION,
     build_manifest,
     config_hash,
+    cross_check,
     git_sha,
     validate_manifest,
     validate_trace_file,
@@ -38,6 +39,7 @@ __all__ = [
     "Tracer",
     "build_manifest",
     "config_hash",
+    "cross_check",
     "derived_metrics",
     "ds_dict",
     "git_sha",

@@ -8,9 +8,9 @@ which platform model and seed, and where the time went (per-phase
 rollups from the tracer).  The schema is deliberately flat and
 validated by hand — no external JSON-schema dependency.
 
-The CI smoke job runs one traced cell and feeds the emitted pair
-through :func:`validate_trace_file` + :func:`validate_manifest`
-(``scripts/validate_trace.py``), so the formats cannot drift silently.
+CI feeds every traced smoke run and chaos scenario through ``repro
+trace validate`` (:func:`validate_trace_file`, :func:`validate_manifest`
+and :func:`cross_check`), so the formats cannot drift silently.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import platform as _platform
 import subprocess
 import sys
 import time
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
 from .trace import TRACE_SCHEMA_VERSION, Tracer
 
@@ -31,6 +31,7 @@ __all__ = [
     "config_hash",
     "git_sha",
     "build_manifest",
+    "cross_check",
     "write_manifest",
     "serve_entries_from_records",
     "validate_manifest",
@@ -144,10 +145,10 @@ def serve_entries_from_records(
     span lines of a written trace file) and ``top_counters`` the
     counters accumulated outside any span (a live tracer's
     ``counters``, or the meta header's ``counters`` when re-deriving
-    from a file).  ``scripts/validate_trace.py`` recomputes the
-    section through this same function and holds the manifest to it,
-    so a ``serve.cluster_*`` / ``serve.scrub_*`` tally can never
-    silently drift from the trace that produced it.
+    from a file).  :func:`cross_check` recomputes the section through
+    this same function and holds the manifest to it, so a
+    ``serve.cluster_*`` / ``serve.scrub_*`` tally can never silently
+    drift from the trace that produced it.
     """
     prefix = "serve."
     entries: Dict[str, Any] = {}
@@ -362,3 +363,65 @@ def validate_trace_file(path: str) -> int:
         problems.append("no span records")
     _fail(problems, f"trace file {path}")
     return n_spans
+
+
+#: seconds of float rounding allowed between summed phases and wall time
+ROUNDING = 1e-9
+
+
+def cross_check(trace_path: str, manifest: Dict[str, Any]) -> List[str]:
+    """Trace/manifest consistency problems (empty list = clean).
+
+    Manifest cells derive 1:1 (in file order) from the trace's ``cell``
+    spans, so the two are paired positionally — which stays correct
+    when a resumed run re-executes a cell and the merged trace carries
+    two spans with the same cell index.  A cell's phases, its child
+    spans by parent id, must tile it with exactly equal boundaries
+    (see :func:`repro.instrument.trace.tiled`) and sum to its
+    ``wall_seconds``.  The ``serve`` section must equal the one
+    re-derived from the trace.
+    """
+    with open(trace_path) as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    spans = [r for r in records if r.get("type") == "span"]
+    cell_spans = [r for r in spans if r["name"] == "cell"]
+    phases: Dict[Optional[int], list] = {}
+    for r in sorted(spans, key=lambda r: (r["t0"], r["t1"])):
+        phases.setdefault(r.get("parent"), []).append(r)
+    problems = []
+    if len(cell_spans) != len(manifest["cells"]):
+        problems.append(
+            f"{len(cell_spans)} cell spans vs "
+            f"{len(manifest['cells'])} manifest cells")
+    for span, cell in zip(cell_spans, manifest["cells"]):
+        idx = cell["index"]
+        if span["attrs"].get("cell") != idx:
+            problems.append(
+                f"manifest cell {idx} pairs with a span tagged "
+                f"cell={span['attrs'].get('cell')}")
+            continue
+        edge = span["t0"]
+        for phase in phases.get(span["id"], []):
+            if phase["t0"] != edge:
+                problems.append(f"cell {idx}: {phase['name']} starts at "
+                                f"{phase['t0']!r}, not at {edge!r}")
+            edge = phase["t1"]
+        if edge != span["t1"]:
+            problems.append(f"cell {idx}: phases end at {edge!r}, "
+                            f"the cell at {span['t1']!r}")
+        phase_sum = sum(p["dur"] for p in phases.get(span["id"], []))
+        if abs(phase_sum - cell["wall_seconds"]) > ROUNDING:
+            problems.append(f"cell {idx}: phase sum {phase_sum!r}s vs "
+                            f"wall {cell['wall_seconds']!r}s")
+    # the serve section (reliability/cluster/scrub tallies) must equal
+    # what the trace itself adds up to — same derivation, two sources
+    meta = next((r for r in records if r.get("type") == "meta"), {})
+    derived = serve_entries_from_records(spans, meta.get("counters"))
+    recorded = manifest.get("serve") or {}
+    for key in sorted(set(derived) | set(recorded)):
+        if derived.get(key) != recorded.get(key):
+            problems.append(
+                f"serve entry {key!r}: trace derives "
+                f"{derived.get(key)!r}, manifest records "
+                f"{recorded.get(key)!r}")
+    return problems

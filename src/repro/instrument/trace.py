@@ -19,7 +19,10 @@ Design constraints, in order:
    with string-keyed attributes (set once) and numeric counters
    (accumulated); spans nest via a stack, and each record carries its
    parent id and depth so the tree can be rebuilt.
-3. **Process-merge friendly.**  Worker processes trace into their own
+3. **Phases that tile their region.**  The children of a :func:`tiled`
+   span share one clock read per boundary, so they sum to the span's
+   duration: a preemption between two phases lands in one of them.
+4. **Process-merge friendly.**  Worker processes trace into their own
    :class:`Tracer` and ship finished records back (they are plain
    dicts); :meth:`Tracer.absorb` re-tags and renumbers them into the
    parent so one ordered JSON-lines file comes out (see
@@ -61,6 +64,7 @@ __all__ = [
     "activate",
     "current",
     "span",
+    "tiled",
     "add",
     "render_summary",
 ]
@@ -79,7 +83,7 @@ class Span:
     """
 
     __slots__ = ("_tracer", "name", "span_id", "parent_id", "depth",
-                 "t0", "t1", "attrs", "counters")
+                 "t0", "t1", "attrs", "counters", "mark")
 
     def __init__(self, tracer: "Tracer", name: str, span_id: int,
                  parent_id: Optional[int], depth: int, t0: float,
@@ -93,6 +97,8 @@ class Span:
         self.t1: Optional[float] = None
         self.attrs = attrs
         self.counters: Dict[str, float] = {}
+        #: where a tiled span's next child starts; None when not tiled
+        self.mark: Optional[float] = None
 
     def set(self, key: str, value) -> None:
         """Set (or overwrite) one attribute on this span."""
@@ -162,12 +168,17 @@ class Tracer:
     # -- recording ----------------------------------------------------------
 
     def span(self, name: str, **attrs) -> Span:
-        """Open a nested span; use as a context manager."""
+        """Open a nested span; use as a context manager.  Inside a
+        :func:`tiled` span it starts where its previous sibling ended."""
         parent = self._stack[-1] if self._stack else None
+        if parent is not None and parent.mark is not None:
+            t0 = parent.mark
+        else:
+            t0 = time.perf_counter() - self.epoch
         sp = Span(
             self, name, self._next_id,
             None if parent is None else parent.span_id,
-            len(self._stack), time.perf_counter() - self.epoch, attrs,
+            len(self._stack), t0, attrs,
         )
         self._next_id += 1
         self._stack.append(sp)
@@ -188,6 +199,17 @@ class Tracer:
             )
         self._stack.pop()
         sp.t1 = time.perf_counter() - self.epoch
+        if sp.mark is not None:
+            rest = Span(self, sp.name + ".finish", self._next_id,
+                        sp.span_id, sp.depth + 1, sp.mark, {})
+            self._next_id += 1
+            rest.t1 = sp.t1
+            self._append(rest)
+        if self._stack and self._stack[-1].mark is not None:
+            self._stack[-1].mark = sp.t1
+        self._append(sp)
+
+    def _append(self, sp: Span) -> None:
         self.records.append({
             "type": "span",
             "name": sp.name,
@@ -329,6 +351,20 @@ def span(name: str, **attrs):
     if _ACTIVE is None:
         return NULL_SPAN
     return _ACTIVE.span(name, **attrs)
+
+
+def tiled(name: str, **attrs) -> Span:
+    """Open a span that its children tile, with no gap between them.
+
+    Each child starts where the previous one ended, the first at this
+    span's start, and closing the span records the time after its last
+    child as a final child ``<name>.finish``.  While tracing is disabled
+    the span runs on a throwaway tracer, so its ``duration`` is read at
+    the same boundaries either way.
+    """
+    sp = (_ACTIVE or Tracer()).span(name, **attrs)
+    sp.mark = sp.t0
+    return sp
 
 
 def add(name: str, value) -> None:

@@ -158,11 +158,6 @@ class CacheStats:
     misses: int = 0
     evictions: int = 0
 
-    @property
-    def hit_rate(self) -> float:
-        """Hits / accesses (1.0 for an untouched cache)."""
-        return self.hits / self.accesses if self.accesses else 1.0
-
     def merge(self, other: "CacheStats") -> "CacheStats":
         """Elementwise sum (for aggregating per-core instances)."""
         return CacheStats(

@@ -90,10 +90,6 @@ class ShardMap:
         """Every ``(segment, shard)`` copy this map calls for."""
         return self._placements
 
-    def segments_of(self, shard: int) -> List[int]:
-        """Segments with a copy on ``shard`` (any replica role)."""
-        return sorted(seg for seg, s in self.placements() if s == shard)
-
     def primary_ranges(self) -> List[Tuple[int, int, int]]:
         """Contiguous primary runs as ``(shard, start, stop)`` triples.
 

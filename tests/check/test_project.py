@@ -31,7 +31,7 @@ class TestModuleNames:
 
     def test_outside_package_is_none(self):
         assert module_name_of("tests/check/test_project.py") is None
-        assert module_name_of("scripts/validate_trace.py") is None
+        assert module_name_of("scripts/make_report.py") is None
 
 
 class TestSymbolTable:

@@ -1,8 +1,6 @@
 """Tests for run manifests (repro.instrument.manifest)."""
 
-import importlib.util
 import json
-import pathlib
 from dataclasses import replace
 
 import pytest
@@ -13,6 +11,7 @@ from repro.instrument.manifest import (
     MANIFEST_SCHEMA_VERSION,
     build_manifest,
     config_hash,
+    cross_check,
     git_sha,
     serve_entries_from_records,
     validate_manifest,
@@ -122,15 +121,6 @@ def _cluster_traced_run():
     return t
 
 
-def _load_validate_trace_script():
-    path = pathlib.Path(__file__).resolve().parents[2] \
-        / "scripts" / "validate_trace.py"
-    spec = importlib.util.spec_from_file_location("_validate_trace", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
 class TestClusterServeSection:
     """The manifest serve section grown by the elastic tier:
     serve.cluster_* / serve.scrub_* land validated and cross-checked."""
@@ -169,15 +159,14 @@ class TestClusterServeSection:
         assert serve_entries_from_records(spans, meta.get("counters")) \
             == m["serve"]
 
-    def test_validate_trace_script_cross_checks_serve(self, tmp_path):
+    def test_cross_check_rejects_drifted_serve_tally(self, tmp_path):
         t = _cluster_traced_run()
         m = build_manifest(t)
         path = tmp_path / "cluster.jsonl"
         t.write_jsonl(path)
-        script = _load_validate_trace_script()
-        assert script.cross_check(str(path), m) == []
+        assert cross_check(str(path), m) == []
         m["serve"]["cluster_deaths"] += 1  # a drifted tally
-        problems = script.cross_check(str(path), m)
+        problems = cross_check(str(path), m)
         assert any("cluster_deaths" in p for p in problems)
 
 
@@ -212,7 +201,7 @@ class TestPricingRecordedInTrace:
         m = build_manifest(t)
         validate_manifest(m)
         assert validate_trace_file(path) == len(t.records)
-        assert _load_validate_trace_script().cross_check(str(path), m) == []
+        assert cross_check(str(path), m) == []
 
 
 class TestTraceFileValidation:

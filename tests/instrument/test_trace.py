@@ -68,6 +68,51 @@ class TestSpans:
         assert "RuntimeError" in rec["attrs"]["error"]
 
 
+class TestTiled:
+    """Children of a tiled span share their boundaries and sum to it."""
+
+    def test_children_tile_the_span(self):
+        t = trace.enable()
+        with trace.tiled("cell") as cell:
+            with trace.span("cell.a"):
+                time.sleep(0.001)
+            time.sleep(0.002)  # between phases: lands in cell.b
+            with trace.span("cell.b"):
+                with trace.span("inner"):
+                    pass
+            time.sleep(0.001)  # after the last phase: cell.finish
+        trace.disable()
+        by_name = {r["name"]: r for r in t.records}
+        a, b, rest = by_name["cell.a"], by_name["cell.b"], by_name["cell.finish"]
+        assert a["t0"] == cell.t0
+        assert b["t0"] == a["t1"]
+        assert rest["t0"] == b["t1"] and rest["t1"] == cell.t1
+        assert rest["parent"] == cell.span_id and rest["depth"] == 1
+        assert b["dur"] >= 0.002 and rest["dur"] >= 0.001
+        assert a["dur"] + b["dur"] + rest["dur"] == \
+            pytest.approx(cell.duration, abs=1e-9)
+        # an ordinary span inside a phase still reads its own clock
+        assert by_name["inner"]["t0"] > b["t0"]
+
+    def test_exception_still_records_the_remainder(self):
+        t = trace.enable()
+        with pytest.raises(ValueError):
+            with trace.tiled("cell"):
+                with trace.span("cell.a"):
+                    raise ValueError("boom")
+        trace.disable()
+        by_name = {r["name"]: r for r in t.records}
+        assert by_name["cell.finish"]["t0"] == by_name["cell.a"]["t1"]
+        assert by_name["cell"]["attrs"]["error"] == "ValueError"
+
+    def test_disabled_tiled_still_times(self):
+        with trace.tiled("cell", kind="x") as sp:
+            with trace.span("cell.a"):
+                time.sleep(0.002)
+        assert sp.duration >= 0.002
+        assert trace.current() is None
+
+
 class TestDisabled:
     def test_disabled_span_is_noop_singleton(self):
         sp = trace.span("anything", key="val")

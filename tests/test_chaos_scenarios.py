@@ -2,7 +2,8 @@
 
 ``serve``, ``cluster``, ``disk`` and ``fuzz`` run through the CLI with
 trace paths under ``tmp_path``.  Each must exit 0, leave a trace and
-manifest that ``scripts/validate_trace.py`` accepts, reproduce its
+manifest that :func:`repro.instrument.manifest.cross_check` accepts
+(phases tiling every cell exactly), reproduce its
 recorded counts exactly, and leave no fault plan or tracer behind.
 ``smoke`` reaps a hang through a 15 s cell timeout, so it runs only as
 a CI leg.
@@ -19,9 +20,12 @@ import pytest
 from repro.chaos import SCENARIOS
 from repro.cli import build_parser, main
 from repro.instrument import trace
-from repro.instrument.manifest import validate_manifest, validate_trace_file
+from repro.instrument.manifest import (
+    cross_check,
+    validate_manifest,
+    validate_trace_file,
+)
 from repro.resilience.faults import FAULTS_ENV_VAR, active_plan
-from tests.instrument.test_manifest import _load_validate_trace_script
 
 #: manifest tallies each traced scenario reproduces exactly
 EXPECTED = {
@@ -93,7 +97,7 @@ def test_traced_scenario(scenario, tmp_path, capsys, ambient):
     assert validate_trace_file(path) > 0
     with open(path + ".manifest.json") as fh:
         manifest = validate_manifest(json.load(fh))
-    assert _load_validate_trace_script().cross_check(path, manifest) == []
+    assert cross_check(path, manifest) == []
     section, want = EXPECTED[scenario]
     got = manifest[section]
     assert {k: got.get(k) for k in want} == want

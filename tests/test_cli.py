@@ -9,7 +9,11 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
-from repro.instrument.manifest import validate_manifest, validate_trace_file
+from repro.instrument.manifest import (
+    cross_check,
+    validate_manifest,
+    validate_trace_file,
+)
 
 
 class TestParser:
@@ -129,17 +133,33 @@ class TestObservabilityFlags:
         trace_path = str(tmp_path / "run.jsonl")
         assert main(["bilateral", "--shape", "16", "--threads", "2",
                      "--stencil", "r1", "--trace", trace_path]) == 0
-        recs = [json.loads(ln) for ln
-                in open(trace_path).read().splitlines()[1:]]
-        cells = [r for r in recs if r["name"] == "cell"]
-        assert cells
-        for cell in cells:
-            tag = cell["attrs"]["cell"]
-            phase_sum = sum(r["dur"] for r in recs
-                            if r["name"].startswith("cell.")
-                            and r["attrs"].get("cell") == tag)
-            assert phase_sum == pytest.approx(
-                cell["attrs"]["wall_seconds"], rel=0.10)
+        manifest = json.loads(
+            (tmp_path / "run.jsonl.manifest.json").read_text())
+        assert len(manifest["cells"]) == 2
+        assert cross_check(trace_path, manifest) == []
+
+    def test_trace_validate_accepts_then_rejects_a_gap(self, tmp_path,
+                                                        capsys):
+        trace_path = str(tmp_path / "run.jsonl")
+        assert main(["bilateral", "--shape", "16", "--threads", "2",
+                     "--stencil", "r1", "--trace", trace_path]) == 0
+        capsys.readouterr()
+        assert main(["trace", "validate", trace_path]) == 0
+        assert "phases tile every cell" in capsys.readouterr().out
+        # open a gap: cell.simulate now starts 1 ms after trace_gen ends
+        lines = open(trace_path).read().splitlines()
+        for n, line in enumerate(lines):
+            rec = json.loads(line)
+            if rec.get("name") == "cell.simulate":
+                rec["t0"] += 1e-3
+                rec["dur"] -= 1e-3
+                lines[n] = json.dumps(rec)
+                break
+        open(trace_path, "w").write("\n".join(lines) + "\n")
+        assert main(["trace", "validate", trace_path,
+                     trace_path + ".manifest.json"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL: cell 0: cell.simulate starts at" in out
 
     def test_trace_summary_prints_rollup(self, capsys):
         rc = main(["bilateral", "--shape", "16", "--threads", "2",
