@@ -56,16 +56,16 @@ class MinMaxBricks:
         b = self.brick
         gx, gy, gz = -(-nx // b), -(-ny // b), -(-nz // b)
         self.grid_shape = (gx, gy, gz)
-        self.mins = np.full(self.grid_shape, np.inf)
-        self.maxs = np.full(self.grid_shape, -np.inf)
-        for bi in range(gx):
-            for bj in range(gy):
-                for bk in range(gz):
-                    sub = dense[bi * b:(bi + 1) * b,
-                                bj * b:(bj + 1) * b,
-                                bk * b:(bk + 1) * b]
-                    self.mins[bi, bj, bk] = sub.min()
-                    self.maxs[bi, bj, bk] = sub.max()
+        # pad partial edge bricks with their own edge voxels, which
+        # leaves every brick's min and max as they are
+        padded = np.pad(dense, [(0, g * b - n) for g, n in
+                                zip(self.grid_shape, self.shape)],
+                        mode="edge")
+        # one row of b**3 voxels per brick
+        bricks = padded.reshape(gx, b, gy, b, gz, b).transpose(
+            0, 2, 4, 1, 3, 5).reshape(gx, gy, gz, -1)
+        self.mins = bricks.min(axis=-1)
+        self.maxs = bricks.max(axis=-1)
 
     @property
     def n_bricks(self) -> int:
@@ -94,17 +94,20 @@ class MinMaxBricks:
             size = 2 * footprint + 1
             lo = ndimage.minimum_filter(lo, size=size, mode="nearest")
             hi = ndimage.maximum_filter(hi, size=size, mode="nearest")
+        # every brick's evenly spaced probes, in one transfer call; the
+        # arithmetic is np.linspace's for one brick, which a batched
+        # linspace changes (to k / div * delta) once any brick is flat
+        n = samples_per_brick
+        step = (hi - lo) / max(n - 1, 1)
+        probes = lo[..., None] + np.arange(n) * step[..., None]
+        if n > 1:
+            probes[..., -1] = hi
+        active = transfer(probes)[..., 3].max(axis=-1) > eps
+        # control points inside a brick's range, each evaluated once
         control_values = np.array([p[0] for p in transfer.points])
-        active = np.zeros(self.grid_shape, dtype=bool)
-        for idx in np.ndindex(self.grid_shape):
-            vmin, vmax = lo[idx], hi[idx]
-            probes = np.linspace(vmin, vmax, samples_per_brick)
-            inside = control_values[(control_values >= vmin)
-                                    & (control_values <= vmax)]
-            if inside.size:
-                probes = np.concatenate([probes, inside])
-            if transfer(probes)[:, 3].max() > eps:
-                active[idx] = True
+        opaque = control_values[transfer(control_values)[:, 3] > eps]
+        active |= ((lo[..., None] <= opaque)
+                   & (opaque <= hi[..., None])).any(axis=-1)
         return active
 
     def active_mask_for_points(self, pts: np.ndarray,

@@ -233,8 +233,31 @@ def sidecar_path(path: str) -> str:
     return os.fspath(path) + SIDECAR_SUFFIX
 
 
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+#: bytes asked of each ``os.read`` past the expected length
+_READ_CHUNK = 1 << 16
+
+#: the most an expected length may make the first ``os.read`` ask for
+_MAX_FIRST_READ = 1 << 26
+
+
+def _read_file(path: str, size: int = _READ_CHUNK) -> bytes:
+    """Every byte of the file at ``path``: ``os.open``, ``os.read`` to EOF.
+
+    ``size`` is the length the caller expects.  The first read asks for
+    one byte more, so a file of that length takes one read plus the
+    empty read that proves EOF, and a file that grew past it is read
+    whole — a size check then sees its true length.  A directory opens
+    on Linux and fails on the read (``EISDIR``), so it raises
+    :class:`OSError` like any other unreadable file.
+    """
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        parts = [os.read(fd, min(size, _MAX_FIRST_READ) + 1)]
+        while parts[-1]:
+            parts.append(os.read(fd, _READ_CHUNK))
+        return parts[0] if len(parts) <= 2 else b"".join(parts)
+    finally:
+        os.close(fd)
 
 
 def write_artifact(path: str, data: bytes, *, kind: str = "",
@@ -250,7 +273,7 @@ def write_artifact(path: str, data: bytes, *, kind: str = "",
         "sidecar_schema_version": ARTIFACT_SCHEMA_VERSION,
         "kind": kind,
         "schema_version": schema_version,
-        "sha256": _digest(data),
+        "sha256": hashlib.sha256(data).hexdigest(),
         "bytes": len(data),
     }
     atomic_write_bytes(path, data)
@@ -291,21 +314,21 @@ def _write_sidecar(path: str, record: Dict[str, Any]) -> None:
 def read_sidecar(path: str) -> Optional[Dict[str, Any]]:
     """The artifact's integrity record, or None when it has no sidecar.
 
-    An unreadable/corrupt sidecar is reported as a record with a
-    ``"problem"`` key so :func:`verify_artifact` treats it as a
-    verification failure rather than a missing record.
+    A sidecar that is missing is a legacy artifact; one that exists but
+    cannot be read or parsed (a directory, garbage, a permission error)
+    is reported as a record with a ``"problem"`` key so
+    :func:`verify_artifact` treats it as a verification failure rather
+    than a missing record.
     """
-    sc = sidecar_path(path)
-    if not os.path.exists(sc):
-        return None
     try:
-        with open(sc, "rb") as fh:
-            record = json.loads(fh.read().decode("utf-8"))
-        if not isinstance(record, dict) or "sha256" not in record:
-            return {"problem": "sidecar is not an integrity record"}
-        return record
+        record = json.loads(_read_file(sidecar_path(path)).decode("utf-8"))
+    except FileNotFoundError:
+        return None
     except (OSError, ValueError, UnicodeDecodeError) as exc:
         return {"problem": f"unreadable sidecar: {exc}"}
+    if not isinstance(record, dict) or "sha256" not in record:
+        return {"problem": "sidecar is not an integrity record"}
+    return record
 
 
 def quarantine_artifact(path: str, problem: str) -> Optional[str]:
@@ -357,16 +380,17 @@ def _read_verified(path: str, *, quarantine: bool,
         return None, None
     problem = record.get("problem")
     data = b""
+    size = record.get("bytes")
     if problem is None:
         try:
-            with open(path, "rb") as fh:
-                data = fh.read()
+            data = _read_file(path, size if isinstance(size, int)
+                              and size >= 0 else _READ_CHUNK)
         except OSError as exc:
             problem = f"artifact unreadable: {exc}"
-    if problem is None and len(data) != record.get("bytes"):
-        problem = f"size {len(data)} B != recorded {record.get('bytes')} B"
+    if problem is None and len(data) != size:
+        problem = f"size {len(data)} B != recorded {size} B"
     if problem is None:
-        actual_sha = _digest(data)
+        actual_sha = hashlib.sha256(data).hexdigest()
         if actual_sha != record.get("sha256"):
             problem = (f"sha256 {actual_sha[:12]}… != recorded "
                        f"{str(record.get('sha256'))[:12]}…")
@@ -413,6 +437,5 @@ def read_artifact(path: str, *, verify: bool = True,
                               require_sidecar=require_sidecar,
                               record=record)[1]
     if data is None:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        data = _read_file(path)
     return data

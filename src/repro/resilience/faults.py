@@ -104,6 +104,7 @@ reproducible.
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from dataclasses import dataclass
@@ -328,12 +329,27 @@ def clear_faults() -> None:
     reset_read_index()
 
 
-def active_plan() -> FaultPlan:
-    """The currently active plan (empty when fault injection is off)."""
-    spec = os.environ.get(FAULTS_ENV_VAR)
-    if not spec:
-        return FaultPlan()
+#: the plan while fault injection is off (plans are frozen: safe to share)
+_NO_FAULTS = FaultPlan()
+
+
+@functools.lru_cache(maxsize=16)
+def _parsed(spec: str) -> FaultPlan:
     return parse_faults(spec)
+
+
+def active_plan() -> FaultPlan:
+    """The currently active plan (empty when fault injection is off).
+
+    ``REPRO_FAULTS`` is read on every call, so a change to it — through
+    :func:`install_faults`, :func:`clear_faults` or the environment
+    directly — takes effect at once; each distinct spec is parsed once.
+    """
+    try:
+        spec = os.environ[FAULTS_ENV_VAR]
+    except KeyError:
+        return _NO_FAULTS
+    return _parsed(spec) if spec else _NO_FAULTS
 
 
 def fire(spec: FaultSpec) -> bool:

@@ -287,7 +287,7 @@ class Scrubber:
                 _faults.InjectedFault, OSError):
             return  # sibling unhealthy too; a later lap retries
         cl.store.write_replica_on(seg, shard, payload)
-        cl.placed[seg].add(shard)
+        cl._place(seg, (shard,))
         self.repaired += 1
         _trace.add("serve.scrub_repaired", 1)
 
@@ -355,6 +355,8 @@ class ShardCluster:
         self.comparisons: List[RebalanceComparison] = []
         #: (event, under-replicated segment count) after every tick
         self.under_replicated_history: List[Tuple[int, int]] = []
+        # (members, count) of the last recount; _place drops it
+        self._under_replicated: Optional[Tuple[Set[int], int]] = None
         self.scrubber = Scrubber(self)
         self.server = VolumeServer(store, cache=cache,
                                    reliability=reliability,
@@ -412,7 +414,7 @@ class ShardCluster:
     def _actions_at(self, event: int) -> List[Tuple[str, int]]:
         actions = [(a, s) for e, a, s in self.schedule if e == event]
         plan = _faults.active_plan()
-        if plan:
+        if plan.specs:
             actions.extend(plan.cluster_actions(event))
         return actions
 
@@ -482,10 +484,10 @@ class ShardCluster:
             targets = [s for s in self.target.replicas_of(seg)
                        if s not in self.down] or [dest]
             self.store.rebuild_segment(seg, shards=targets)
-            self.placed[seg].update(targets)
+            self._place(seg, targets)
         else:
             self.store.write_replica_on(seg, dest, payload)
-            self.placed[seg].add(dest)
+            self._place(seg, (dest,))
         self.segments_moved += 1
         _trace.add("serve.cluster_segments_moved", 1)
 
@@ -502,15 +504,25 @@ class ShardCluster:
         a wrong byte is never returned.
         """
         shards = self.map.replicas_of(seg)
-        extras = self.placed[seg].difference(shards)
-        if extras:
-            shards += tuple(sorted(extras))
+        placed = self.placed[seg]
+        if len(placed) != len(shards) or not placed.issuperset(shards):
+            # on-disk copies the map does not name are tried last
+            shards += tuple(sorted(placed.difference(shards)))
         rebuilt_before = self.store.segments_rebuilt
         arr = self.store.read_segment(seg, policy=policy, locations=shards)
         if self.store.segments_rebuilt != rebuilt_before:
             # the store rebuilt onto the reachable candidates
-            self.placed[seg].update(s for s in shards if s not in self.down)
+            self._place(seg, [s for s in shards if s not in self.down])
         return arr
+
+    def _place(self, seg: int, shards: Sequence[int]) -> None:
+        """Record new on-disk copies of ``seg`` on ``shards``.
+
+        The one place :attr:`placed` grows (it never shrinks), so it is
+        also where the under-replication count goes stale.
+        """
+        self.placed[seg].update(shards)
+        self._under_replicated = None
 
     # -- health ---------------------------------------------------------------
 
@@ -520,13 +532,18 @@ class ShardCluster:
         Counted against the detector's view (alive + suspect): a
         not-yet-detected outage is not yet *known* under-replication,
         which is exactly the detection-lag window the history graphs.
+        The count is kept until the members or :attr:`placed` change.
         """
         members = self.detector.members()
+        memo = self._under_replicated
+        if memo is not None and memo[0] == members:
+            return memo[1]
         want = min(self.store.replicas, max(1, len(members)))
         count = 0
         for seg in range(self.store.n_segments):
             if len(self.placed[seg] & members) < want:
                 count += 1
+        self._under_replicated = (members, count)
         return count
 
     def status(self) -> Dict[str, object]:

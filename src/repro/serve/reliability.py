@@ -190,8 +190,9 @@ class QueryRejected:
 class ReadPolicy:
     """The store-facing routing policy one server instance owns.
 
-    Holds the per-shard breakers; the server refreshes
-    :attr:`deadline` per query attempt.
+    Holds the per-shard breakers; when the config sets a deadline the
+    server arms a fresh :attr:`deadline` per query attempt, and it
+    stays None otherwise.
     Store and server mutate it only inside synchronous processing
     sections, so no locks are needed and replays are deterministic.
     """
@@ -209,19 +210,3 @@ class ReadPolicy:
                                 probe_after=self.config.breaker_probe_after)
             self.breakers[shard] = br
         return br
-
-    def allow_shard(self, shard: int) -> bool:
-        """Breaker gate for one replica read."""
-        return self.breaker(shard).allow()
-
-    def on_success(self, shard: int) -> None:
-        self.breaker(shard).record_success()
-
-    def on_failure(self, shard: int) -> None:
-        self.breaker(shard).record_failure()
-
-    def check_deadline(self) -> None:
-        """Raise :class:`DeadlineExceeded` when the attempt's budget is
-        spent (no-op when no deadline is set)."""
-        if self.deadline is not None:
-            self.deadline.check()

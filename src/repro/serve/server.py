@@ -272,10 +272,13 @@ class VolumeServer:
             raise TypeError(f"unknown query type {type(q).__name__}")
         store = self.store
         cache = self.cache
-        policy = self._policy
-        if policy is not None:
+        deadline = None
+        if self.reliability is not None \
+                and self.reliability.deadline_s is not None:
             # a fresh budget per attempt: retrying re-arms the deadline
-            policy.deadline = Deadline(self.reliability.deadline_s)
+            deadline = self._policy.deadline = \
+                Deadline(self.reliability.deadline_s)
+        load = self._load_segment
         segs: List[int] = []  # one per fetched segment run, in plan order
         needed = 0
 
@@ -283,9 +286,9 @@ class VolumeServer:
             # between segment runs is the only place synchronous
             # processing can honor a deadline
             nonlocal needed
-            if policy is not None:
-                policy.check_deadline()
-            block = cache.get(seg, self._load_segment, n_chunks)
+            if deadline is not None:
+                deadline.check()
+            block = cache.get(seg, load, n_chunks)
             segs.append(seg)
             needed += n_chunks
             return block

@@ -131,6 +131,11 @@ class ChunkStore:
         self.order: str = meta["order"]
         self.chunks_per_segment: int = int(meta["chunks_per_segment"])
         self.dtype = np.dtype(meta["dtype"])
+        cx, cy, cz = self.chunk_shape
+        #: elements per (padded) chunk
+        self.chunk_elems: int = cx * cy * cz
+        #: bytes per (padded) chunk
+        self.chunk_bytes: int = self.chunk_elems * self.dtype.itemsize
         self._origin = origin
         self.grid_shape: Tuple[int, int, int] = tuple(
             -(-s // c) for s, c in zip(self.shape, self.chunk_shape))
@@ -255,17 +260,6 @@ class ChunkStore:
     # -- geometry -------------------------------------------------------------
 
     @property
-    def chunk_elems(self) -> int:
-        """Elements per (padded) chunk."""
-        cx, cy, cz = self.chunk_shape
-        return cx * cy * cz
-
-    @property
-    def chunk_bytes(self) -> int:
-        """Bytes per (padded) chunk."""
-        return self.chunk_elems * self.dtype.itemsize
-
-    @property
     def segment_bytes(self) -> int:
         """Bytes per full segment (the tail segment may be shorter)."""
         return self.chunk_bytes * self.chunks_per_segment
@@ -358,20 +352,15 @@ class ChunkStore:
         """On-disk path of one replica (flat layout when unsharded)."""
         return self.path_on_shard(seg, self.shard_of_segment(seg, replica))
 
-    def _segment_path(self, seg: int) -> str:
-        """The primary replica's path (the whole segment, pre-replication)."""
-        return self._replica_path(seg, 0)
-
     def _segment_payload(self, dense: np.ndarray, seg: int) -> bytes:
         """Segment ``seg``'s bytes, packed from the dense source."""
         cx, cy, cz = self.chunk_shape
-        dt = np.dtype(self.meta["dtype"])
         parts: List[bytes] = []
         start = seg * self.chunks_per_segment
         for slot in range(start, start + self.segment_chunk_count(seg)):
             cid = int(self.chunk_at[slot])
             ci, cj, ck = (int(v) for v in self.chunk_coords(cid))
-            block = np.zeros((cx, cy, cz), dtype=dt)
+            block = np.zeros((cx, cy, cz), dtype=self.dtype)
             a = (ci * cx, cj * cy, ck * cz)
             b = tuple(min(av + c, s)
                       for av, c, s in zip(a, (cx, cy, cz), self.shape))
@@ -464,72 +453,71 @@ class ChunkStore:
         shard can serve the segment.
         """
         expected = self.segment_chunk_count(seg) * self.chunk_bytes
+        plan = _faults.active_plan()
         last: Optional[Exception] = None
         for shard in shards:
             try:
-                return self._read_replica(seg, shard, expected)
+                return self._read_copy(seg, shard, expected, plan)
             except (_artifacts.ArtifactIntegrityError,
                     _faults.InjectedFault, OSError) as exc:
                 last = exc
         raise last if last is not None else _faults.InjectedFault(
             f"segment {seg}: no source shards given")
 
-    def _read_copy(self, path: str) -> bytes:
-        """One copy's bytes, hashed and checked before they are returned.
+    def _read_copy(self, seg: int, shard: int, expected: int,
+                   plan: Optional[_faults.FaultPlan] = None) -> bytes:
+        """Shard ``shard``'s copy of segment ``seg``, hashed and checked
+        before it is returned.
 
         The check is against the copy's kept record, or — on the first
         read of the copy in this process, or the first since a write —
         against its sidecar, whose record is then kept.  A copy that
-        fails is quarantined by the artifact layer and its record
-        dropped.
+        fails, or whose length is not ``expected`` (a legacy
+        sidecar-less file), is quarantined and its record dropped.
+
+        ``plan`` — the active fault plan, which marks the read as a copy
+        attempt: a shard in outage or under a ``shard-down`` fault
+        raises before any byte moves (and consumes no read index), and
+        otherwise the attempt consumes one ``segread-*`` read index,
+        exactly like disk faults key on the write index.  The rebuild
+        path passes none: it reads back the copy it has just written.
+        Raises :class:`~repro.resilience.artifacts.ArtifactIntegrityError`
+        on corruption (after quarantining),
+        :class:`~repro.resilience.faults.InjectedFault` on a dead shard
+        and :class:`OSError` on a copy missing with its sidecar.
         """
-        record = self._records.get(path)
+        path = self.path_on_shard(seg, shard)
+        if plan is not None:
+            if shard in self.down_shards:
+                raise _faults.InjectedFault(
+                    f"shard {shard} is down (cluster outage)")
+            if plan.specs:
+                down = plan.for_shard(shard)
+                if down is not None:
+                    raise _faults.InjectedFault(
+                        f"shard {shard} is down ({down.to_spec()})")
+                spec = plan.for_segment_read(_faults.next_read_index())
+                if spec is not None:
+                    if spec.mode == "segread-slow":
+                        time.sleep(spec.seconds)
+                    elif spec.mode == "segread-corrupt":
+                        _artifacts.corrupt_at_rest(path, spec)
+        records = self._records
+        record = records.get(path)
         cold = record is None
         if cold:
             record = _artifacts.read_sidecar(path)
         try:
             data = _artifacts.read_artifact(path, record=record)
         except (_artifacts.ArtifactIntegrityError, OSError):
-            self._records.pop(path, None)
+            records.pop(path, None)
             raise
         if cold and record is not None:
-            self._records[path] = {"bytes": record["bytes"],
-                                   "sha256": record["sha256"]}
-        return data
-
-    def _read_replica(self, seg: int, shard: int, expected: int) -> bytes:
-        """One verified replica read, with the serve fault hooks applied.
-
-        ``shard-down`` faults fire before any byte moves (and consume
-        no read index); ``segread-*`` faults key on the process-local
-        read index, exactly like disk faults key on the write index.
-        Raises :class:`~repro.resilience.artifacts.ArtifactIntegrityError`
-        on corruption (after quarantining),
-        :class:`~repro.resilience.faults.InjectedFault` on a dead shard
-        and :class:`OSError` on a copy missing with its sidecar.
-        """
-        if shard in self.down_shards:
-            raise _faults.InjectedFault(
-                f"shard {shard} is down (cluster outage)")
-        path = self.path_on_shard(seg, shard)
-        plan = _faults.active_plan()
-        if plan:
-            down = plan.for_shard(shard)
-            if down is not None:
-                raise _faults.InjectedFault(
-                    f"shard {shard} is down ({down.to_spec()})")
-            spec = plan.for_segment_read(_faults.next_read_index())
-            if spec is not None:
-                if spec.mode == "segread-slow":
-                    time.sleep(spec.seconds)
-                elif spec.mode == "segread-corrupt":
-                    _artifacts.corrupt_at_rest(path, spec)
-        data = self._read_copy(path)
+            records[path] = {"bytes": record["bytes"],
+                             "sha256": record["sha256"]}
         if len(data) != expected:
-            # size drift the sidecar did not catch (legacy sidecar-less
-            # file): treat as corruption — quarantine and fail over
             problem = f"size {len(data)} B != expected {expected} B"
-            self._records.pop(path, None)
+            records.pop(path, None)
             quarantined = _artifacts.quarantine_artifact(path, problem)
             raise _artifacts.ArtifactIntegrityError(path, problem, quarantined)
         return data
@@ -559,17 +547,19 @@ class ChunkStore:
         expected = n * self.chunk_bytes
         placed = self.placement.replicas_of(seg) if locations is None \
             else locations
-        if policy is not None:
-            policy.check_deadline()
+        if policy is not None and policy.deadline is not None:
+            policy.deadline.check()
+        plan = _faults.active_plan()
         data: Optional[bytes] = None
         bad: List[int] = []   # shards whose copy is corrupt or missing
         quarantined: Optional[str] = None
         for shard in placed:
-            if policy is not None and not policy.allow_shard(shard):
+            breaker = None if policy is None else policy.breaker(shard)
+            if breaker is not None and not breaker.allow():
                 _trace.add("serve.reliability_breaker_denied", 1)
                 continue
             try:
-                data = self._read_replica(seg, shard, expected)
+                data = self._read_copy(seg, shard, expected, plan)
             except _artifacts.ArtifactIntegrityError as exc:
                 bad.append(shard)
                 quarantined = exc.quarantined_to or quarantined
@@ -578,11 +568,11 @@ class ChunkStore:
             except OSError:
                 bad.append(shard)  # copy missing with its sidecar
             else:
-                if policy is not None:
-                    policy.on_success(shard)
+                if breaker is not None:
+                    breaker.record_success()
                 break
-            if policy is not None:
-                policy.on_failure(shard)
+            if breaker is not None:
+                breaker.record_failure()
             _trace.add("serve.reliability_failovers", 1)
             self.failovers += 1
         if data is None:
@@ -590,13 +580,12 @@ class ChunkStore:
             targets = [s for s in placed if s not in self.down_shards] \
                 or list(placed)
             self.rebuild_segment(seg, targets, quarantined=quarantined)
-            data = self._read_copy(self.path_on_shard(seg, targets[0]))
+            data = self._read_copy(seg, targets[0], expected)
         else:
             for shard in bad:
                 self._repair_copy(self.path_on_shard(seg, shard), data)
-        dt = np.dtype(self.meta["dtype"])
-        arr = np.frombuffer(data, dtype=dt).reshape((n,) + self.chunk_shape)
-        return arr.astype(self.dtype) if dt != self.dtype else arr
+        # a read-only array over the verified bytes (no copy)
+        return np.ndarray((n,) + self.chunk_shape, self.dtype, data)
 
     # -- assembly -------------------------------------------------------------
 

@@ -15,6 +15,7 @@ from repro.kernels import (
     grayscale_ramp,
     isosurface_like,
     orbit_camera,
+    sparse_ramp,
 )
 from repro.memsim import AddressSpace
 from repro.parallel import Tile
@@ -31,18 +32,49 @@ def _sparse_volume(shape=(16, 16, 16)):
     return dense
 
 
+def _classify_per_brick(mm, transfer, footprint=0, samples_per_brick=64,
+                        eps=1e-12):
+    """The per-brick classification loop: the oracle for ``classify``."""
+    lo, hi = mm.mins, mm.maxs
+    if footprint:
+        from scipy import ndimage
+
+        size = 2 * footprint + 1
+        lo = ndimage.minimum_filter(lo, size=size, mode="nearest")
+        hi = ndimage.maximum_filter(hi, size=size, mode="nearest")
+    control_values = np.array([p[0] for p in transfer.points])
+    active = np.zeros(mm.grid_shape, dtype=bool)
+    for idx in np.ndindex(mm.grid_shape):
+        vmin, vmax = lo[idx], hi[idx]
+        probes = np.linspace(vmin, vmax, samples_per_brick)
+        inside = control_values[(control_values >= vmin)
+                                & (control_values <= vmax)]
+        if inside.size:
+            probes = np.concatenate([probes, inside])
+        if transfer(probes)[:, 3].max() > eps:
+            active[idx] = True
+    return active
+
+
+def _blocky_volume(shape=(18, 13, 11)):
+    """Flat regions (constant bricks) beside a field, off the brick grid."""
+    dense = combustion_field(shape, seed=3).astype(np.float32)
+    dense[:9] = 0.0
+    dense[:, :4] = 0.45
+    return dense
+
+
 class TestMinMaxBricks:
     def test_bounds_match_brute_force(self, rng):
         dense = rng.random((10, 9, 8)).astype(np.float32)
-        mm = MinMaxBricks(_grid(dense), brick=4)
-        assert mm.grid_shape == (3, 3, 2)
-        for bi in range(3):
-            for bj in range(3):
-                for bk in range(2):
-                    sub = dense[bi * 4:(bi + 1) * 4, bj * 4:(bj + 1) * 4,
-                                bk * 4:(bk + 1) * 4]
-                    assert mm.mins[bi, bj, bk] == sub.min()
-                    assert mm.maxs[bi, bj, bk] == sub.max()
+        assert MinMaxBricks(_grid(dense), brick=4).grid_shape == (3, 3, 2)
+        for b in (1, 2, 3, 4, 8, 16):
+            mm = MinMaxBricks(_grid(dense), brick=b)
+            for bi, bj, bk in np.ndindex(mm.grid_shape):
+                sub = dense[bi * b:(bi + 1) * b, bj * b:(bj + 1) * b,
+                            bk * b:(bk + 1) * b]
+                assert mm.mins[bi, bj, bk] == sub.min()
+                assert mm.maxs[bi, bj, bk] == sub.max()
 
     def test_layout_independent(self):
         dense = combustion_field((8, 8, 8), seed=1)
@@ -84,6 +116,22 @@ class TestMinMaxBricks:
         dilated = mm.classify(grayscale_ramp(), footprint=1)
         assert dilated.sum() >= tight.sum()
         assert np.all(dilated[tight])
+
+    @pytest.mark.parametrize("brick", [2, 4, 8])
+    @pytest.mark.parametrize("footprint", [0, 1])
+    @pytest.mark.parametrize("tf", [grayscale_ramp(), sparse_ramp(),
+                                    isosurface_like(0.45, width=1e-6),
+                                    isosurface_like(0.7)],
+                             ids=["ramp", "sparse", "narrow-iso", "iso"])
+    def test_classify_matches_the_per_brick_loop(self, brick, footprint, tf):
+        for dense in (_blocky_volume(), _sparse_volume()):
+            mm = MinMaxBricks(_grid(dense), brick=brick)
+            for samples in (8, 64):
+                assert np.array_equal(
+                    mm.classify(tf, footprint=footprint,
+                                samples_per_brick=samples),
+                    _classify_per_brick(mm, tf, footprint=footprint,
+                                        samples_per_brick=samples))
 
     def test_classify_validates_footprint(self):
         mm = MinMaxBricks(_grid(_sparse_volume()), brick=4)

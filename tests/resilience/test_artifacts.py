@@ -98,23 +98,62 @@ class TestSidecar:
         # were checked: no second read after verification
         path = str(tmp_path / "vol.raw")
         write_artifact(path, b"abcdef")
-        opened = []
-
-        def counting_open(file, *args, **kwargs):
-            opened.append(os.fspath(file))
-            return open(file, *args, **kwargs)
-
-        monkeypatch.setattr(artifacts, "open", counting_open, raising=False)
+        opened = _count_os_open(monkeypatch)
         assert read_artifact(path) == b"abcdef"
         assert opened.count(path) == 1
+
+    def test_kept_record_read_opens_only_the_data_file(self, tmp_path,
+                                                       monkeypatch):
+        path = str(tmp_path / "vol.raw")
+        record = write_artifact(path, b"abcdef")
+        opened = _count_os_open(monkeypatch)
+        assert read_artifact(path, record=record) == b"abcdef"
+        assert opened == [path]
 
     def test_garbage_sidecar_fails_verification(self, tmp_path):
         path = str(tmp_path / "vol.raw")
         write_artifact(path, b"abcdef")
         with open(sidecar_path(path), "w") as fh:
             fh.write("not json{")
+        assert "problem" in read_sidecar(path)
         with pytest.raises(ArtifactIntegrityError, match="sidecar"):
             verify_artifact(str(path))
+
+    def test_directory_sidecar_is_a_problem_not_a_legacy_file(self,
+                                                              tmp_path):
+        path = str(tmp_path / "vol.raw")
+        write_artifact(path, b"abcdef")
+        os.remove(sidecar_path(path))
+        os.mkdir(sidecar_path(path))
+        assert read_sidecar(path)["problem"].startswith("unreadable sidecar")
+        with pytest.raises(ArtifactIntegrityError, match="sidecar"):
+            read_artifact(path)
+
+    def test_large_legacy_file_is_read_whole(self, tmp_path):
+        # longer than one read chunk: the read goes on to EOF
+        path = tmp_path / "big.raw"
+        data = os.urandom(3 * (1 << 16) + 5)
+        path.write_bytes(data)
+        assert read_artifact(str(path)) == data
+        assert read_artifact(str(path), verify=False) == data
+
+
+def _count_os_open(monkeypatch) -> list:
+    """Record every path the artifact layer hands to ``os.open``."""
+    opened = []
+    real_open = os.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(os.fspath(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(artifacts.os, "open", counting_open)
+    return opened
+
+
+def _read_bytes(path: str) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 class TestQuarantine:
@@ -130,7 +169,7 @@ class TestQuarantine:
         assert not os.path.exists(sidecar_path(path))
         # the evidence (bytes + sidecar) moved aside intact
         quarantined = path + QUARANTINE_SUFFIX
-        assert open(quarantined, "rb").read().startswith(b"EVIL")
+        assert _read_bytes(quarantined).startswith(b"EVIL")
         assert os.path.exists(quarantined + ".integrity.json")
 
     def test_truncation_detected_by_size_before_digest(self, tmp_path):
@@ -149,10 +188,61 @@ class TestQuarantine:
                 fh.write(fill)
             with pytest.raises(ArtifactIntegrityError):
                 verify_artifact(path)
-        assert open(path + QUARANTINE_SUFFIX, "rb").read() \
-            == b"first corruption"
-        assert open(path + QUARANTINE_SUFFIX + ".1", "rb").read() \
+        assert _read_bytes(path + QUARANTINE_SUFFIX) == b"first corruption"
+        assert _read_bytes(path + QUARANTINE_SUFFIX + ".1") \
             == b"second corruption"
+
+    @pytest.mark.parametrize("kept", [False, True],
+                             ids=["sidecar", "kept-record"])
+    @pytest.mark.parametrize("grown_by", [1, 3 * (1 << 16)])
+    def test_growth_past_the_record_is_caught(self, tmp_path, kept,
+                                              grown_by):
+        # bytes appended after the record was written: the read goes
+        # past the recorded length and reports the true one
+        path = str(tmp_path / "vol.raw")
+        record = write_artifact(path, b"0123456789")
+        with open(path, "ab") as fh:
+            fh.write(b"x" * grown_by)
+        with pytest.raises(ArtifactIntegrityError,
+                           match=f"size {10 + grown_by} B != recorded 10 B"
+                           ) as excinfo:
+            read_artifact(path, record=record if kept else None)
+        assert excinfo.value.quarantined_to == path + QUARANTINE_SUFFIX
+        assert not os.path.exists(path)
+
+    @pytest.mark.parametrize("kept", [False, True],
+                             ids=["sidecar", "kept-record"])
+    def test_truncated_copy_is_caught(self, tmp_path, kept):
+        path = str(tmp_path / "vol.raw")
+        record = write_artifact(path, b"0123456789")
+        with open(path, "r+b") as fh:
+            fh.truncate(4)
+        with pytest.raises(ArtifactIntegrityError,
+                           match="size 4 B != recorded 10 B") as excinfo:
+            read_artifact(path, record=record if kept else None)
+        assert excinfo.value.quarantined_to == path + QUARANTINE_SUFFIX
+
+    @pytest.mark.parametrize("kept", [False, True],
+                             ids=["sidecar", "kept-record"])
+    def test_directory_in_place_of_the_copy_is_caught(self, tmp_path, kept):
+        # os.open accepts a directory on Linux; the read must still fail
+        path = str(tmp_path / "vol.raw")
+        record = write_artifact(path, b"0123456789")
+        os.remove(path)
+        os.mkdir(path)
+        with pytest.raises(ArtifactIntegrityError,
+                           match="artifact unreadable") as excinfo:
+            read_artifact(path, record=record if kept else None)
+        assert excinfo.value.quarantined_to == path + QUARANTINE_SUFFIX
+        assert os.path.isdir(path + QUARANTINE_SUFFIX)
+
+    def test_same_length_rot_is_caught_by_the_digest(self, tmp_path):
+        path = str(tmp_path / "vol.raw")
+        record = write_artifact(path, b"0123456789")
+        with open(path, "r+b") as fh:
+            fh.write(b"9")
+        with pytest.raises(ArtifactIntegrityError, match="sha256"):
+            read_artifact(path, record=record)
 
     def test_quarantine_false_leaves_file_in_place(self, tmp_path):
         path = str(tmp_path / "vol.raw")
@@ -163,6 +253,34 @@ class TestQuarantine:
             verify_artifact(path, quarantine=False)
         assert excinfo.value.quarantined_to is None
         assert os.path.exists(path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts descriptors through /proc/self/fd")
+def test_no_read_path_leaks_a_descriptor(tmp_path):
+    # raw descriptors raise no ResourceWarning: count them instead
+    good = str(tmp_path / "good.raw")
+    record = write_artifact(good, b"0123456789")
+    grown = str(tmp_path / "grown.raw")
+    write_artifact(grown, b"0123456789")
+    with open(grown, "ab") as fh:
+        fh.write(b"more")
+    as_dir = str(tmp_path / "dir.raw")
+    write_artifact(as_dir, b"0123456789")
+    os.remove(as_dir)
+    os.mkdir(as_dir)
+    os.mkdir(sidecar_path(str(tmp_path / "legacy.raw")))
+    before = len(os.listdir("/proc/self/fd"))
+    for _ in range(50):
+        assert read_artifact(good, record=record) == b"0123456789"
+        assert read_sidecar(str(tmp_path / "missing.raw")) is None
+        assert "problem" in read_sidecar(str(tmp_path / "legacy.raw"))
+        for path in (grown, as_dir):
+            with pytest.raises(ArtifactIntegrityError):
+                verify_artifact(path, quarantine=False)
+        with pytest.raises(OSError):
+            read_artifact(str(tmp_path / "missing.raw"))
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 class TestDiskFaults:

@@ -28,6 +28,11 @@ def _no_leaked_faults():
     clear_faults()
 
 
+def read_text(path) -> str:
+    with open(path) as fh:
+        return fh.read()
+
+
 def write_v1_journal(path, result, keys):
     """A pre-checksum journal as the v1 code wrote it."""
     with open(path, "w") as fh:
@@ -133,7 +138,7 @@ class TestCheckpointStore:
         store.quarantine({"cell": 3, "problem": "a"})
         store.quarantine({"cell": 5, "problem": "b"})
         entries = [json.loads(line) for line in
-                   open(store.quarantine_path)]
+                   read_text(store.quarantine_path).splitlines()]
         assert [e["cell"] for e in entries] == [3, 5]
 
     def test_duplicate_key_keeps_latest(self, tmp_path, result):
@@ -182,8 +187,8 @@ class TestRecordChecksums:
         assert set(loaded) == {"first", "third"}
         assert store.load_stats == {"records": 2, "migrated": 0,
                                     "corrupt": 1, "dropped_lines": 0}
-        (entry,) = [json.loads(line)
-                    for line in open(store.quarantine_path)]
+        (entry,) = [json.loads(line) for line in
+                    read_text(store.quarantine_path).splitlines()]
         assert entry["line"] == 2
         assert "checksum" in entry["problem"]
 
@@ -238,7 +243,7 @@ class TestMigrateJournal:
         store = CheckpointStore(path)
         assert store.load() == before
         assert store.load_stats["migrated"] == 0  # all records current now
-        for line in open(path):
+        for line in read_text(path).splitlines():
             assert json.loads(line)["schema_version"] \
                 == CHECKPOINT_SCHEMA_VERSION
 
@@ -258,15 +263,15 @@ class TestMigrateJournal:
         src = str(tmp_path / "old.jsonl")
         dst = str(tmp_path / "new.jsonl")
         write_v1_journal(src, result, ["k"])
-        original = open(src).read()
+        original = read_text(src)
         assert migrate_journal(src, dst) == 1
-        assert open(src).read() == original
+        assert read_text(src) == original
         assert CheckpointStore(dst).load() == CheckpointStore(src).load()
 
     def test_migrating_a_missing_journal_writes_an_empty_one(self, tmp_path):
         path = str(tmp_path / "never.jsonl")
         assert migrate_journal(path) == 0
-        assert open(path).read() == ""
+        assert read_text(path) == ""
 
     def test_migration_dedups_by_key(self, tmp_path, result):
         path = tmp_path / "journal.jsonl"
@@ -274,5 +279,5 @@ class TestMigrateJournal:
             store.record("k", result, attempts=1)
             store.record("k", result, attempts=3)
         assert migrate_journal(str(path)) == 1
-        (rec,) = [json.loads(line) for line in open(path)]
+        (rec,) = [json.loads(line) for line in read_text(path).splitlines()]
         assert rec["attempts"] == 3  # latest wins, as on load

@@ -101,6 +101,17 @@ class TestInstallation:
     def test_no_env_means_empty_plan(self):
         assert active_plan() == FaultPlan()
 
+    def test_environment_changes_take_effect_at_once(self, monkeypatch):
+        # the spec is re-read on every call, not only at install time
+        assert not active_plan()
+        monkeypatch.setenv(FAULTS_ENV_VAR, "crash@7")
+        assert active_plan().for_cell(7, 1).mode == "crash"
+        monkeypatch.setenv(FAULTS_ENV_VAR, "raise@2")
+        assert active_plan().for_cell(7, 1) is None
+        assert active_plan().for_cell(2, 1).mode == "raise"
+        clear_faults()
+        assert not active_plan()
+
 
 class TestClusterModes:
     def test_parse_and_round_trip(self):

@@ -202,11 +202,11 @@ class TestParentKilled:
             else:
                 pytest.fail("journal never reached 3 entries")
             proc.send_signal(signal.SIGTERM)
-            proc.wait(timeout=30)  # graceful exit, nowhere near the hang
+            proc.communicate(timeout=30)  # graceful exit, not the hang
         finally:
             if proc.poll() is None:
                 proc.kill()
-                proc.wait()
+            proc.communicate()  # reaps it and closes both pipes
         assert proc.returncode != 0  # interrupted, not "success"
         # everything completed before the signal is still on disk
         assert len(journal_entries(journal)) == 3

@@ -32,7 +32,7 @@ class TestCorruptSegment:
     def test_quarantine_and_rebuild_with_origin(self, tmp_path, dense):
         store = ChunkStore.create(os.path.join(tmp_path, "s"), dense,
                                   chunk=4, chunks_per_segment=2)
-        seg_path = store._segment_path(1)
+        seg_path = store._replica_path(1, 0)
         corrupt(seg_path)
         got = store.read_segment(1)          # transparently repaired
         assert store.segments_rebuilt == 1
@@ -46,7 +46,7 @@ class TestCorruptSegment:
         store = ChunkStore.create(os.path.join(tmp_path, "s"), dense,
                                   chunk=4, chunks_per_segment=2)
         for seg in (0, 3, store.n_segments - 1):
-            corrupt(store._segment_path(seg))
+            corrupt(store._replica_path(seg, 0))
         server = VolumeServer(store, cache="lru:capacity=4")
         res = server.serve(BBoxQuery((0, 0, 0), SHAPE))
         assert np.array_equal(res.data, dense)
@@ -57,7 +57,7 @@ class TestCorruptSegment:
         path = os.path.join(tmp_path, "s")
         ChunkStore.create(path, dense, chunk=4, chunks_per_segment=2)
         store = ChunkStore.open(path, origin=lambda: dense)
-        corrupt(store._segment_path(2))
+        corrupt(store._replica_path(2, 0))
         assert np.array_equal(store.read_bbox((0, 0, 0), SHAPE), dense)
         assert store.segments_rebuilt == 1
 
@@ -66,18 +66,18 @@ class TestCorruptSegment:
         path = os.path.join(tmp_path, "s")
         ChunkStore.create(path, dense, chunk=4, chunks_per_segment=2)
         store = ChunkStore.open(path)        # no origin attached
-        corrupt(store._segment_path(0))
+        corrupt(store._replica_path(0, 0))
         with pytest.raises(RuntimeError, match="without an origin"):
             store.read_segment(0)
         # the bad artifact was still quarantined by the artifact layer
-        assert glob.glob(store._segment_path(0) + ".corrupt*")
+        assert glob.glob(store._replica_path(0, 0) + ".corrupt*")
 
     def test_origin_shape_mismatch_rejected(self, tmp_path, dense):
         path = os.path.join(tmp_path, "s")
         ChunkStore.create(path, dense, chunk=4, chunks_per_segment=2)
         store = ChunkStore.open(path, origin=np.zeros((4, 4, 4),
                                                       dtype=np.float32))
-        corrupt(store._segment_path(0))
+        corrupt(store._replica_path(0, 0))
         with pytest.raises(ValueError, match="origin shape"):
             store.read_segment(0)
 
@@ -89,7 +89,7 @@ class TestCorruptSegment:
         path = os.path.join(tmp_path, "s")
         store = ChunkStore.create(path, dense, chunk=4,
                                   chunks_per_segment=2)
-        seg_path = store._segment_path(1)
+        seg_path = store._replica_path(1, 0)
         os.remove(seg_path + ".integrity.json")
         assert np.array_equal(store.read_bbox((0, 0, 0), SHAPE), dense)
 
@@ -97,9 +97,10 @@ class TestCorruptSegment:
         path = os.path.join(tmp_path, "s")
         store = ChunkStore.create(path, dense, chunk=4,
                                   chunks_per_segment=2)
-        seg_path = store._segment_path(1)
+        seg_path = store._replica_path(1, 0)
         os.remove(seg_path + ".integrity.json")
-        data = open(seg_path, "rb").read()
+        with open(seg_path, "rb") as fh:
+            data = fh.read()
         with open(seg_path, "wb") as fh:  # repro: noqa[RPC401]
             fh.write(data[:-7])
         assert np.array_equal(store.read_segment(1),

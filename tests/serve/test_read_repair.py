@@ -36,6 +36,7 @@ import shutil
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,7 +54,8 @@ CHUNKS_PER_SEGMENT = 2   # 8 chunks -> 4 segments
 REPLICAS = 2
 SHARDS = 3
 
-KINDS = ("flip", "truncate", "garbage", "sidecar", "missing")
+KINDS = ("flip", "truncate", "garbage", "grow", "directory", "sidecar",
+         "missing")
 
 #: (segment, replica, corruption kind or "read", salt byte)
 _OP = st.tuples(st.integers(0, 3), st.integers(0, REPLICAS - 1),
@@ -76,7 +78,11 @@ def _corrupt(store: ChunkStore, seg: int, replica: int, kind: str,
     """Damage one replica in place, ``kind``-style (a no-op on a copy
     that is already gone)."""
     path = store._replica_path(seg, replica)
-    if not os.path.exists(path):
+    if not os.path.isfile(path):
+        return
+    if kind == "directory":
+        os.remove(path)
+        os.mkdir(path)
         return
     if kind == "missing":
         os.remove(path)
@@ -95,6 +101,8 @@ def _corrupt(store: ChunkStore, seg: int, replica: int, kind: str,
         data = data[:i] + bytes([data[i] ^ 0xFF]) + data[i + 1:]
     elif kind == "truncate":
         data = data[:len(data) // 2]
+    elif kind == "grow":  # the recorded bytes, then more
+        data = data + bytes([salt]) * (salt + 1)
     else:  # garbage: right length, wrong bytes
         data = bytes((salt + j) % 256 for j in range(len(data)))
     with open(path, "wb") as fh:  # repro: noqa[RPC401] (injecting rot)
@@ -188,6 +196,20 @@ class TestKeptRecords:
         # the repaired copy is read again, first, and serves right
         assert np.array_equal(store.read_segment(seg), want)
         assert store.failovers == 1
+
+    @pytest.mark.parametrize("kind", ["grow", "truncate", "directory"])
+    def test_wrong_size_or_kind_after_first_read_is_caught(self, tmp_path,
+                                                           kind):
+        store = _create(str(tmp_path / "store"))
+        seg = 2
+        want = store.read_segment(seg).copy()  # keeps the primary's record
+        primary = store._replica_path(seg, 0)
+        _corrupt(store, seg, 0, kind, 200)
+        assert np.array_equal(store.read_segment(seg), want)
+        assert (store.failovers, store.read_repairs) == (1, 1)
+        assert store.segments_rebuilt == 0
+        assert glob.glob(primary + ".corrupt*")  # quarantined aside
+        verify_artifact(primary, quarantine=False)
 
     def test_sidecar_rot_after_first_read_is_caught_by_scrub(self,
                                                              tmp_path):

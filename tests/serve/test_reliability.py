@@ -99,7 +99,7 @@ class TestReplicatedStore:
     def test_unreplicated_store_keeps_flat_layout(self, tmp_path, dense):
         store = ChunkStore.create(os.path.join(tmp_path, "flat"), dense,
                                   chunk=4, chunks_per_segment=2)
-        assert os.path.dirname(store._segment_path(0)) == store.path
+        assert os.path.dirname(store._replica_path(0, 0)) == store.path
         assert not glob.glob(os.path.join(store.path, "shard-*"))
 
 
