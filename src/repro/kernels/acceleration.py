@@ -61,11 +61,12 @@ class MinMaxBricks:
         padded = np.pad(dense, [(0, g * b - n) for g, n in
                                 zip(self.grid_shape, self.shape)],
                         mode="edge")
-        # one row of b**3 voxels per brick
-        bricks = padded.reshape(gx, b, gy, b, gz, b).transpose(
-            0, 2, 4, 1, 3, 5).reshape(gx, gy, gz, -1)
-        self.mins = bricks.min(axis=-1)
-        self.maxs = bricks.max(axis=-1)
+        # axes 1, 3 and 5 of this view run inside a brick; reducing the
+        # outermost first makes each step an elementwise min/max of long
+        # contiguous slices, and no step copies the padded volume
+        bricks = padded.reshape(gx, b, gy, b, gz, b)
+        self.mins = bricks.min(axis=1).min(axis=2).min(axis=3)
+        self.maxs = bricks.max(axis=1).max(axis=2).max(axis=3)
 
     @property
     def n_bricks(self) -> int:

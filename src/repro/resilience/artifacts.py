@@ -233,26 +233,36 @@ def sidecar_path(path: str) -> str:
     return os.fspath(path) + SIDECAR_SUFFIX
 
 
-#: bytes asked of each ``os.read`` past the expected length
+#: bytes asked of each ``os.read`` after the sized ones (in practice the
+#: empty read that proves EOF)
 _READ_CHUNK = 1 << 16
 
-#: the most an expected length may make the first ``os.read`` ask for
+#: the largest expected length the first ``os.read`` trusts; past it the
+#: file's own length sizes the read
 _MAX_FIRST_READ = 1 << 26
 
 
-def _read_file(path: str, size: int = _READ_CHUNK) -> bytes:
+def _read_file(path: str, size: Optional[int] = None) -> bytes:
     """Every byte of the file at ``path``: ``os.open``, ``os.read`` to EOF.
 
-    ``size`` is the length the caller expects.  The first read asks for
-    one byte more, so a file of that length takes one read plus the
-    empty read that proves EOF, and a file that grew past it is read
-    whole — a size check then sees its true length.  A directory opens
-    on Linux and fails on the read (``EISDIR``), so it raises
-    :class:`OSError` like any other unreadable file.
+    ``size`` is the length the caller expects (a verified read's
+    record); without one, or with one past ``_MAX_FIRST_READ``, the
+    length ``os.fstat`` reports is expected instead.  The first read
+    asks for one byte more, so a file of the expected length takes that
+    read plus the empty read that proves EOF.  A longer file is read
+    whole — the rest in one more read, sized by ``os.fstat`` — so a
+    size check sees its true length.  A directory opens on Linux and
+    fails on the read (``EISDIR``), so it raises :class:`OSError` like
+    any other unreadable file.
     """
     fd = os.open(path, os.O_RDONLY)
     try:
-        parts = [os.read(fd, min(size, _MAX_FIRST_READ) + 1)]
+        if size is None or size > _MAX_FIRST_READ:
+            size = os.fstat(fd).st_size
+        parts = [os.read(fd, size + 1)]
+        if len(parts[0]) > size:
+            # longer than expected: the rest, and one byte more
+            parts.append(os.read(fd, max(os.fstat(fd).st_size - size, 1)))
         while parts[-1]:
             parts.append(os.read(fd, _READ_CHUNK))
         return parts[0] if len(parts) <= 2 else b"".join(parts)
@@ -384,7 +394,7 @@ def _read_verified(path: str, *, quarantine: bool,
     if problem is None:
         try:
             data = _read_file(path, size if isinstance(size, int)
-                              and size >= 0 else _READ_CHUNK)
+                              and size >= 0 else None)
         except OSError as exc:
             problem = f"artifact unreadable: {exc}"
     if problem is None and len(data) != size:

@@ -104,7 +104,6 @@ reproducible.
 
 from __future__ import annotations
 
-import functools
 import os
 import time
 from dataclasses import dataclass
@@ -333,23 +332,19 @@ def clear_faults() -> None:
 _NO_FAULTS = FaultPlan()
 
 
-@functools.lru_cache(maxsize=16)
-def _parsed(spec: str) -> FaultPlan:
-    return parse_faults(spec)
-
-
 def active_plan() -> FaultPlan:
     """The currently active plan (empty when fault injection is off).
 
     ``REPRO_FAULTS`` is read on every call, so a change to it — through
     :func:`install_faults`, :func:`clear_faults` or the environment
-    directly — takes effect at once; each distinct spec is parsed once.
+    directly — takes effect at once.  While it is unset every call
+    returns one shared empty plan; a set spec is parsed on each call.
     """
     try:
         spec = os.environ[FAULTS_ENV_VAR]
     except KeyError:
         return _NO_FAULTS
-    return _parsed(spec) if spec else _NO_FAULTS
+    return parse_faults(spec) if spec else _NO_FAULTS
 
 
 def fire(spec: FaultSpec) -> bool:

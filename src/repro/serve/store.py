@@ -457,67 +457,71 @@ class ChunkStore:
         last: Optional[Exception] = None
         for shard in shards:
             try:
-                return self._read_copy(seg, shard, expected, plan)
+                return self._read_replica(seg, shard, expected, plan)
             except (_artifacts.ArtifactIntegrityError,
                     _faults.InjectedFault, OSError) as exc:
                 last = exc
         raise last if last is not None else _faults.InjectedFault(
             f"segment {seg}: no source shards given")
 
-    def _read_copy(self, seg: int, shard: int, expected: int,
-                   plan: Optional[_faults.FaultPlan] = None) -> bytes:
-        """Shard ``shard``'s copy of segment ``seg``, hashed and checked
-        before it is returned.
+    def _read_copy(self, path: str) -> bytes:
+        """One copy's bytes, hashed and checked before they are returned.
 
         The check is against the copy's kept record, or — on the first
         read of the copy in this process, or the first since a write —
         against its sidecar, whose record is then kept.  A copy that
-        fails, or whose length is not ``expected`` (a legacy
-        sidecar-less file), is quarantined and its record dropped.
-
-        ``plan`` — the active fault plan, which marks the read as a copy
-        attempt: a shard in outage or under a ``shard-down`` fault
-        raises before any byte moves (and consumes no read index), and
-        otherwise the attempt consumes one ``segread-*`` read index,
-        exactly like disk faults key on the write index.  The rebuild
-        path passes none: it reads back the copy it has just written.
-        Raises :class:`~repro.resilience.artifacts.ArtifactIntegrityError`
-        on corruption (after quarantining),
-        :class:`~repro.resilience.faults.InjectedFault` on a dead shard
-        and :class:`OSError` on a copy missing with its sidecar.
+        fails is quarantined by the artifact layer and its record
+        dropped.
         """
-        path = self.path_on_shard(seg, shard)
-        if plan is not None:
-            if shard in self.down_shards:
-                raise _faults.InjectedFault(
-                    f"shard {shard} is down (cluster outage)")
-            if plan.specs:
-                down = plan.for_shard(shard)
-                if down is not None:
-                    raise _faults.InjectedFault(
-                        f"shard {shard} is down ({down.to_spec()})")
-                spec = plan.for_segment_read(_faults.next_read_index())
-                if spec is not None:
-                    if spec.mode == "segread-slow":
-                        time.sleep(spec.seconds)
-                    elif spec.mode == "segread-corrupt":
-                        _artifacts.corrupt_at_rest(path, spec)
-        records = self._records
-        record = records.get(path)
+        record = self._records.get(path)
         cold = record is None
         if cold:
             record = _artifacts.read_sidecar(path)
         try:
             data = _artifacts.read_artifact(path, record=record)
         except (_artifacts.ArtifactIntegrityError, OSError):
-            records.pop(path, None)
+            self._records.pop(path, None)
             raise
         if cold and record is not None:
-            records[path] = {"bytes": record["bytes"],
-                             "sha256": record["sha256"]}
+            self._records[path] = {"bytes": record["bytes"],
+                                   "sha256": record["sha256"]}
+        return data
+
+    def _read_replica(self, seg: int, shard: int, expected: int,
+                      plan: _faults.FaultPlan) -> bytes:
+        """One verified copy attempt, with the serve fault hooks applied.
+
+        ``plan`` is the active fault plan, read once by the caller.  A
+        shard in outage or under a ``shard-down`` fault raises before
+        any byte moves (and consumes no read index); otherwise, while a
+        plan is active, the attempt consumes one ``segread-*`` read
+        index, exactly like disk faults key on the write index.
+        Raises :class:`~repro.resilience.artifacts.ArtifactIntegrityError`
+        on corruption (after quarantining),
+        :class:`~repro.resilience.faults.InjectedFault` on a dead shard
+        and :class:`OSError` on a copy missing with its sidecar.
+        """
+        if shard in self.down_shards:
+            raise _faults.InjectedFault(
+                f"shard {shard} is down (cluster outage)")
+        path = self.path_on_shard(seg, shard)
+        if plan.specs:
+            down = plan.for_shard(shard)
+            if down is not None:
+                raise _faults.InjectedFault(
+                    f"shard {shard} is down ({down.to_spec()})")
+            spec = plan.for_segment_read(_faults.next_read_index())
+            if spec is not None:
+                if spec.mode == "segread-slow":
+                    time.sleep(spec.seconds)
+                elif spec.mode == "segread-corrupt":
+                    _artifacts.corrupt_at_rest(path, spec)
+        data = self._read_copy(path)
         if len(data) != expected:
+            # size drift the sidecar did not catch (legacy sidecar-less
+            # file): treat as corruption — quarantine and fail over
             problem = f"size {len(data)} B != expected {expected} B"
-            records.pop(path, None)
+            self._records.pop(path, None)
             quarantined = _artifacts.quarantine_artifact(path, problem)
             raise _artifacts.ArtifactIntegrityError(path, problem, quarantined)
         return data
@@ -559,7 +563,7 @@ class ChunkStore:
                 _trace.add("serve.reliability_breaker_denied", 1)
                 continue
             try:
-                data = self._read_copy(seg, shard, expected, plan)
+                data = self._read_replica(seg, shard, expected, plan)
             except _artifacts.ArtifactIntegrityError as exc:
                 bad.append(shard)
                 quarantined = exc.quarantined_to or quarantined
@@ -580,7 +584,7 @@ class ChunkStore:
             targets = [s for s in placed if s not in self.down_shards] \
                 or list(placed)
             self.rebuild_segment(seg, targets, quarantined=quarantined)
-            data = self._read_copy(seg, targets[0], expected)
+            data = self._read_copy(self.path_on_shard(seg, targets[0]))
         else:
             for shard in bad:
                 self._repair_copy(self.path_on_shard(seg, shard), data)

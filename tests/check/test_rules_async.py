@@ -211,7 +211,7 @@ class TestSuppressionInterplay:
         baseline = str(tmp_path / "baseline.json")
         assert main([str(target), "--write-baseline",
                      "--baseline", baseline]) == 0
-        assert "RPC503" in open(baseline).read()
+        assert "RPC503" in (tmp_path / "baseline.json").read_text()
         target.write_text("async def notify(self):\n"
                           "    await self.ping()\n")  # violation fixed
         assert main([str(target), "--baseline", baseline]) == 0

@@ -137,6 +137,48 @@ class TestSidecar:
         assert read_artifact(str(path)) == data
         assert read_artifact(str(path), verify=False) == data
 
+    def test_each_read_is_sized_not_chunked(self, tmp_path, monkeypatch):
+        # the bytes in one read and an empty read for EOF: the length
+        # comes from the record, or from the file when there is none
+        big = str(tmp_path / "big.raw")
+        data = os.urandom(1 << 20)
+        with open(big, "wb") as fh:
+            fh.write(data)
+        path = str(tmp_path / "vol.raw")
+        record = write_artifact(path, b"0123456789")
+        reads = _count_os_read(monkeypatch)
+        assert read_artifact(big) == data
+        assert reads == [len(data) + 1, artifacts._READ_CHUNK]
+        reads.clear()
+        assert read_artifact(big, verify=False) == data
+        assert read_artifact(path, record=record) == b"0123456789"
+        assert len(reads) == 4
+
+    def test_growth_is_read_in_one_more_read(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "vol.raw")
+        record = write_artifact(path, b"0123456789")
+        with open(path, "ab") as fh:
+            fh.write(b"x" * (1 << 20))
+        reads = _count_os_read(monkeypatch)
+        with pytest.raises(ArtifactIntegrityError,
+                           match=f"size {10 + (1 << 20)} B"):
+            read_artifact(path, record=record)
+        # the recorded length and one byte, the rest and one byte, EOF
+        assert reads == [11, (1 << 20), artifacts._READ_CHUNK]
+
+
+def _count_os_read(monkeypatch) -> list:
+    """Record the size of every ``os.read`` the artifact layer asks for."""
+    reads = []
+    real_read = os.read
+
+    def counting_read(fd, n):
+        reads.append(n)
+        return real_read(fd, n)
+
+    monkeypatch.setattr(artifacts.os, "read", counting_read)
+    return reads
+
 
 def _count_os_open(monkeypatch) -> list:
     """Record every path the artifact layer hands to ``os.open``."""

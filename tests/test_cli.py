@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,7 +148,7 @@ class TestObservabilityFlags:
         assert main(["trace", "validate", trace_path]) == 0
         assert "phases tile every cell" in capsys.readouterr().out
         # open a gap: cell.simulate now starts 1 ms after trace_gen ends
-        lines = open(trace_path).read().splitlines()
+        lines = Path(trace_path).read_text().splitlines()
         for n, line in enumerate(lines):
             rec = json.loads(line)
             if rec.get("name") == "cell.simulate":
@@ -155,7 +156,7 @@ class TestObservabilityFlags:
                 rec["dur"] -= 1e-3
                 lines[n] = json.dumps(rec)
                 break
-        open(trace_path, "w").write("\n".join(lines) + "\n")
+        Path(trace_path).write_text("\n".join(lines) + "\n")
         assert main(["trace", "validate", trace_path,
                      trace_path + ".manifest.json"]) == 1
         out = capsys.readouterr().out
@@ -174,7 +175,8 @@ class TestObservabilityFlags:
         rc = main(["volrend", "--shape", "16", "--threads", "2",
                    "--image", "64", "--manifest", manifest_path])
         assert rc == 0
-        manifest = validate_manifest(json.loads(open(manifest_path).read()))
+        manifest = validate_manifest(
+            json.loads(Path(manifest_path).read_text()))
         assert all(c["kind"] == "volrend" for c in manifest["cells"])
 
     def test_untraced_run_has_no_observability_output(self, tmp_path, capsys):
@@ -276,12 +278,13 @@ class TestServeCommands:
         assert rc == 0
         assert validate_trace_file(trace_path) > 0
         names = [rec["name"]
-                 for line in open(trace_path, encoding="utf-8")
+                 for line in Path(trace_path).read_text(
+                     encoding="utf-8").splitlines()
                  if (rec := json.loads(line)).get("type") == "span"]
         assert "cli.serve" in names
         assert names.count("serve.query") == 8
         manifest = validate_manifest(
-            json.loads(open(trace_path + ".manifest.json").read()))
+            json.loads(Path(trace_path + ".manifest.json").read_text()))
         assert manifest["cells"] == []
 
     def test_serve_replicated_with_reliability_flags(self, capsys):
@@ -357,7 +360,7 @@ class TestSweepCommand:
         rc = main(["sweep", "--capacities", "8", "16", "--shape", "12",
                    "--layouts", "morton", "-o", csv_path])
         assert rc == 0
-        header = open(csv_path).readline()
+        header = Path(csv_path).read_text().splitlines()[0]
         assert "capacity_lines" in header
 
     def test_sweep_requires_capacities(self):
