@@ -149,8 +149,9 @@ def _count_earlier_greater(values: np.ndarray) -> np.ndarray:
     positions here, which are distinct by construction).  Bottom-up
     merge accumulation: at block size ``s``, every element in a right
     half counts the elements of its (earlier-in-time) left half that
-    exceed it, read off the element's rank in the merged order.  The
-    rows being two sorted runs, the stable row-sort is a linear merge.
+    exceed it, read off the element's position in the merged order.
+    The rows being two sorted runs, the stable row-sort is a linear
+    merge, and each round gathers the merged rows with one flat index.
     """
     m = values.size
     counts = np.zeros(m, dtype=np.int64)
@@ -168,26 +169,20 @@ def _count_earlier_greater(values: np.ndarray) -> np.ndarray:
     size = 1
     while size < n_pad:
         width = 2 * size
-        rows = vals.reshape(-1, width)
-        src_rows = src.reshape(-1, width)
-        order = np.argsort(rows, kind="stable", axis=1)
-        rank = np.empty_like(order)
-        np.put_along_axis(rank, order,
-                          np.broadcast_to(np.arange(width), rows.shape),
-                          axis=1)
-        # a right-half element at column size+j has exactly j smaller
-        # right-half siblings (its own run is sorted), so `rank - j` of
-        # the `size` left-half elements — all earlier in time — are
-        # smaller and the rest are greater
-        j = np.arange(size, dtype=np.int64)
-        cross = (size - (rank[:, size:] - j)).ravel()
-        right_src = src_rows[:, size:].ravel()
-        real = right_src < m
-        # src is a permutation, so right_src entries are distinct:
-        # plain fancy-index accumulation is safe
-        counts[right_src[real]] += cross[real]
-        vals = np.take_along_axis(rows, order, axis=1).ravel()
-        src = np.take_along_axis(src_rows, order, axis=1).ravel()
+        order = np.argsort(vals.reshape(-1, width), kind="stable", axis=1)
+        # merged position p of a row holds the element from column
+        # order[p].  A right-half element, column size + j, has exactly
+        # j smaller right-half siblings (its own run is sorted), so p - j
+        # of the `size` left-half elements — all earlier in time — are
+        # smaller and size - (p - j) = order[p] - p are greater
+        cross = (order - np.arange(width)).ravel()
+        flat = (order + np.arange(0, n_pad, width)[:, None]).ravel()
+        vals = vals[flat]
+        src = src[flat]
+        right = (order >= size).ravel() & (src < m)
+        # src is a permutation, so its entries are distinct: plain
+        # fancy-index accumulation is safe
+        counts[src[right]] += cross[right]
         size = width
     return counts
 

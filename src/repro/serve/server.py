@@ -39,6 +39,8 @@ Without a config every failure raises, exactly as before.
 from __future__ import annotations
 
 import asyncio
+import functools
+import math
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
@@ -150,21 +152,71 @@ class QueryResult:
 
 # -- the server ---------------------------------------------------------------
 
-#: (right, up, view) sign columns of a box's eight corners, each (8, 1)
-_CORNER_SIGNS = np.array([(sr, su, sv) for sr in (-1.0, 1.0)
-                          for su in (-1.0, 1.0)
-                          for sv in (-1.0, 1.0)]).T[:, :, None]
-
-
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.cross`` of two 3-vectors, bit for bit, without its set-up cost.
 
     Each component is the same difference of two rounded products.
     """
-    a0, a1, a2 = a.tolist()
-    b0, b1, b2 = b.tolist()
-    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2,
-                     a0 * b1 - a1 * b0])
+    return np.array(_cross3(a.tolist(), b.tolist()))
+
+
+def _cross3(a: Sequence[float], b: Sequence[float]
+            ) -> Tuple[float, float, float]:
+    """:func:`_cross` on plain floats."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+
+
+def _unit(v: Tuple[float, float, float]) -> Tuple[float, float, float]:
+    """``v / np.linalg.norm(v)``, bit for bit, on plain floats."""
+    n = float(np.linalg.norm(v))
+    if not n:
+        raise ValueError("viewport camera is degenerate: its view or "
+                         "right vector has zero length")
+    return (v[0] / n, v[1] / n, v[2] / n)
+
+
+def _viewport_extent(shape: Tuple[int, ...], q: ViewportQuery
+                     ) -> Tuple[List[float], List[float]]:
+    """Per-axis min and max over the eight corners of the viewed cube.
+
+    The camera basis comes from the volrend kernel; the viewed region
+    is an oriented cube centered on ``center + pan`` whose half-edge
+    shrinks with ``zoom``.  Each axis's extreme corner is found without
+    listing the eight: a corner is ``center + h * ((±right + ±up) +
+    ±view)``, and IEEE addition (and multiplication by ``h > 0``) is
+    monotone in each argument, so the largest corner is the one whose
+    three terms are all largest and the smallest is its exact negation.
+    """
+    zoom, pan = q.zoom, q.pan
+    if not (math.isfinite(zoom) and zoom > 0):
+        raise ValueError(f"zoom must be positive and finite, got {zoom}")
+    if not all(math.isfinite(p) for p in pan):
+        raise ValueError(f"pan must be finite, got {pan}")
+    eye, center, up = _orbit(shape, q.viewpoint, q.n_viewpoints)
+    center = tuple(c + float(p) for c, p in zip(center, pan))
+    view = _unit(tuple(c - e for c, e in zip(center, eye)))
+    right = _unit(_cross3(view, up))
+    true_up = _cross3(right, view)
+    # the visible region is the oriented cube inscribed in the view
+    # sphere of radius max_extent/(2*zoom): half-edge = r/sqrt(3), so
+    # zooming in shrinks the fetched box isotropically instead of
+    # inflating it by the AABB of a volume-sized oriented cube
+    h = float(max(shape)) / (2.0 * zoom) / math.sqrt(3.0)
+    reach = [h * ((abs(r) + abs(u)) + abs(v))
+             for r, u, v in zip(right, true_up, view)]
+    return ([c - d for c, d in zip(center, reach)],
+            [c + d for c, d in zip(center, reach)])
+
+
+@functools.lru_cache(maxsize=256)
+def _orbit(shape: Tuple[int, ...], viewpoint: int, n_viewpoints: int
+           ) -> Tuple[Tuple[float, ...], ...]:
+    """(eye, center, up) of :func:`orbit_camera`, as plain floats."""
+    cam = orbit_camera(shape, viewpoint, n_viewpoints=n_viewpoints)
+    return tuple(tuple(float(v) for v in vec)
+                 for vec in (cam.eye, cam.center, cam.up))
 
 
 class VolumeServer:
@@ -208,41 +260,20 @@ class VolumeServer:
                                                         Tuple[int, ...]]:
         """Axis-aligned voxel box for an orbit viewpoint.
 
-        The camera basis comes from the volrend kernel; the viewed
-        region is an oriented box centered on ``center + pan`` whose
-        half-extents shrink with ``zoom``, and its eight corners are
-        clipped to the volume to yield the AABB actually fetched.
+        The hull of the viewed cube (:func:`_viewport_extent`), clipped
+        to the volume and rounded outward.
         """
-        if q.zoom <= 0:
-            raise ValueError(f"zoom must be positive, got {q.zoom}")
         shape = self.store.shape
-        cam = orbit_camera(shape, q.viewpoint, n_viewpoints=q.n_viewpoints)
-        eye = np.asarray(cam.eye, dtype=np.float64)
-        center = np.asarray(cam.center, dtype=np.float64) \
-            + np.asarray(q.pan, dtype=np.float64)
-        view = center - eye
-        view /= np.linalg.norm(view)
-        up = np.asarray(cam.up, dtype=np.float64)
-        right = _cross(view, up)
-        right /= np.linalg.norm(right)
-        true_up = _cross(right, view)
-        # the visible region is the oriented cube inscribed in the view
-        # sphere of radius max_extent/(2*zoom): half-edge = r/sqrt(3),
-        # so zooming in shrinks the fetched box isotropically instead of
-        # inflating it by the AABB of a volume-sized oriented cube
-        r = float(np.array(shape, dtype=np.float64).max()) / (2.0 * q.zoom)
-        h = r / np.sqrt(3.0)
-        sr, su, sv = _CORNER_SIGNS
-        pts = center + h * (sr * right + su * true_up + sv * view)
-        lo = np.floor(pts.min(axis=0)).astype(np.int64)
-        hi = np.ceil(pts.max(axis=0)).astype(np.int64)
-        lo = np.maximum(lo, 0)
-        hi = np.minimum(hi, np.asarray(shape, dtype=np.int64))
-        # a fully off-volume pan still yields a valid 1-voxel box
-        hi = np.maximum(hi, lo + 1)
-        hi = np.minimum(hi, np.asarray(shape, dtype=np.int64))
-        lo = np.minimum(lo, hi - 1)
-        return tuple(int(v) for v in lo), tuple(int(v) for v in hi)
+        lo, hi = [], []
+        for a, b, s in zip(*_viewport_extent(shape, q), shape):
+            # clamped in float first, so a huge box cannot overflow
+            a = math.floor(min(max(a, 0.0), s))
+            b = math.ceil(min(max(b, 0.0), s))
+            # a fully off-volume pan still yields a valid 1-voxel box
+            b = min(max(b, a + 1), s)
+            lo.append(min(a, b - 1))
+            hi.append(b)
+        return tuple(lo), tuple(hi)
 
     def _ray_points(self, q: RayQuery) -> np.ndarray:
         d = np.asarray(q.direction, dtype=np.float64)

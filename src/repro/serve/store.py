@@ -57,6 +57,7 @@ the ``origin`` volume.  A wrong byte is never returned.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -104,6 +105,21 @@ def chunk_placement(order: str, grid_shape: Sequence[int]) -> np.ndarray:
     inv = np.empty(ids.size, dtype=np.int64)
     inv[perm] = np.arange(ids.size, dtype=np.int64)
     return inv
+
+
+def _axis_slices(lo: int, hi: int,
+                 chunk: int) -> Dict[int, Tuple[slice, slice]]:
+    """Chunk index -> (output slice, in-chunk slice), along one axis.
+
+    One entry per chunk of edge ``chunk`` that meets ``[lo, hi)``: the
+    part of the box it covers, relative to ``lo`` and to the chunk.
+    """
+    table = {}
+    for i in range(lo // chunk, -(-hi // chunk)):
+        base = i * chunk
+        a, b = max(base, lo), min(base + chunk, hi)
+        table[i] = (slice(a - lo, b - lo), slice(a - base, b - base))
+    return table
 
 
 class ChunkStore:
@@ -295,17 +311,18 @@ class ChunkStore:
         """
         lo = tuple(int(v) for v in lo)
         hi = tuple(int(v) for v in hi)
-        if any(a >= b for a, b in zip(lo, hi)):
-            raise ValueError(f"empty bbox lo={lo} hi={hi}")
-        if any(a < 0 or b > s for a, b, s in zip(lo, hi, self.shape)):
+        if not all(0 <= a < b <= s for a, b, s in zip(lo, hi, self.shape)):
+            if any(a >= b for a, b in zip(lo, hi)):
+                raise ValueError(f"empty bbox lo={lo} hi={hi}")
             raise ValueError(f"bbox lo={lo} hi={hi} outside volume "
                              f"{self.shape}")
-        gx, gy, _ = self.grid_shape
-        c0 = [a // c for a, c in zip(lo, self.chunk_shape)]
-        c1 = [-(-b // c) for b, c in zip(hi, self.chunk_shape)]
-        ci = np.arange(c0[0], c1[0], dtype=np.int64)
-        cj = np.arange(c0[1], c1[1], dtype=np.int64) * gx
-        ck = np.arange(c0[2], c1[2], dtype=np.int64) * (gx * gy)
+        (x0, y0, z0), (x1, y1, z1) = lo, hi
+        (cx, cy, cz), (gx, gy, _) = self.chunk_shape, self.grid_shape
+        gxy = gx * gy
+        ci = np.arange(x0 // cx, -(-x1 // cx), dtype=np.int64)
+        cj = np.arange(y0 // cy * gx, -(-y1 // cy) * gx, gx, dtype=np.int64)
+        ck = np.arange(z0 // cz * gxy, -(-z1 // cz) * gxy, gxy,
+                       dtype=np.int64)
         # (z, y, x) row-major, so x varies fastest
         return (ck[:, None, None] + cj[:, None] + ci).ravel()
 
@@ -321,10 +338,14 @@ class ChunkStore:
         return segs[bounds[:-1]].tolist(), bounds.tolist()
 
     def segments_bytes(self, segs: Sequence[int]) -> int:
-        """Bytes stored in segments ``segs`` (only the tail may be short)."""
-        starts = np.asarray(segs, dtype=np.int64) * self.chunks_per_segment
-        counts = np.minimum(self.chunks_per_segment, self.n_chunks - starts)
-        return int(counts.sum()) * self.chunk_bytes
+        """Bytes stored in segments ``segs`` (only the tail may be short).
+
+        Every segment is full but the tail, which falls ``short`` chunks
+        short each time it appears.
+        """
+        short = self.n_segments * self.chunks_per_segment - self.n_chunks
+        return len(segs) * self.segment_bytes - short * self.chunk_bytes \
+            * operator.countOf(segs, self.n_segments - 1)
 
     # -- segment I/O ----------------------------------------------------------
 
@@ -471,14 +492,16 @@ class ChunkStore:
         read of the copy in this process, or the first since a write —
         against its sidecar, whose record is then kept.  A copy that
         fails is quarantined by the artifact layer and its record
-        dropped.
+        dropped.  A copy without a sidecar (a legacy file) is read
+        unverified, after one lookup of the missing sidecar.
         """
         record = self._records.get(path)
         cold = record is None
         if cold:
             record = _artifacts.read_sidecar(path)
         try:
-            data = _artifacts.read_artifact(path, record=record)
+            data = _artifacts.read_artifact(path, verify=record is not None,
+                                            record=record)
         except (_artifacts.ArtifactIntegrityError, OSError):
             self._records.pop(path, None)
             raise
@@ -598,9 +621,11 @@ class ChunkStore:
                   ) -> np.ndarray:
         """Assemble the dense subvolume ``[lo, hi)`` from chunk blocks.
 
-        One vectorized plan per call: every needed chunk's file slot,
-        sorted, with its segment, its clipped box in the output and its
-        offset inside the chunk.  The loop then only slice-copies.
+        The plan is every needed chunk's file slot, sorted, and its
+        chunk-grid coordinates; a chunk's box in the output and inside
+        the chunk are read off three per-axis tables of slices, one
+        entry per chunk index the box meets along that axis, so the
+        loop only looks up and slice-copies.
 
         ``fetch(segment, n_chunks) -> segment array`` injects the
         caller's read path (the server passes its cache).  It is called
@@ -617,20 +642,21 @@ class ChunkStore:
         lo = tuple(int(v) for v in lo)
         hi = tuple(int(v) for v in hi)
         slots = np.sort(self.slot_of[self.chunks_for_bbox(lo, hi)])
-        origin = np.stack(self.chunk_coords(self.chunk_at[slots]),
-                          axis=1) * self.chunk_shape
-        a = np.maximum(origin, lo)
-        b = np.minimum(origin + self.chunk_shape, hi)
-        # per chunk: offset in segment, output box, box inside the chunk
-        plan = np.column_stack((slots % self.chunks_per_segment, a - lo,
-                                b - lo, a - origin, b - origin)).tolist()
-        out = np.empty(tuple(y - x for x, y in zip(lo, hi)), dtype=self.dtype)
+        ci, cj, ck = (c.tolist()
+                      for c in self.chunk_coords(self.chunk_at[slots]))
+        xs, ys, zs = (_axis_slices(a, b, c)
+                      for a, b, c in zip(lo, hi, self.chunk_shape))
+        cps = self.chunks_per_segment
+        out = np.empty(tuple(b - a for a, b in zip(lo, hi)), dtype=self.dtype)
         segs, bounds = self.segment_runs(slots)
+        slots = slots.tolist()
         for seg, start, stop in zip(segs, bounds, bounds[1:]):
             block = fetch(seg, stop - start)
-            for off, x0, y0, z0, x1, y1, z1, i0, j0, k0, i1, j1, k1 \
-                    in plan[start:stop]:
-                out[x0:x1, y0:y1, z0:z1] = block[off, i0:i1, j0:j1, k0:k1]
+            for n in range(start, stop):
+                ox, ix = xs[ci[n]]
+                oy, iy = ys[cj[n]]
+                oz, iz = zs[ck[n]]
+                out[ox, oy, oz] = block[slots[n] % cps, ix, iy, iz]
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -35,7 +35,7 @@ from repro.memsim import (
     stack_ineligibility,
 )
 from repro.memsim.prefetch import PrefetchConfig
-from repro.memsim.stackdist import stream_key
+from repro.memsim.stackdist import _count_earlier_greater, stream_key
 from tests.analysis.test_analysis import _reuse_stack
 
 lines_st = st.lists(st.integers(0, 40), min_size=0, max_size=300)
@@ -91,6 +91,25 @@ class TestStackDistances:
     def test_rejects_non_integer(self):
         with pytest.raises(TypeError):
             stack_distances(np.array(["a", "b"]))
+
+    @given(st.lists(st.one_of(st.integers(0, 300),
+                              st.integers((1 << 31) - 40, 1 << 33)),
+                    max_size=40, unique=True))
+    @settings(max_examples=150)
+    def test_merge_count_matches_brute_force(self, values):
+        # positions from short streams and past 2**31, mixed
+        expect = [sum(1 for v in values[:i] if v > x)
+                  for i, x in enumerate(values)]
+        got = _count_earlier_greater(np.asarray(values, dtype=np.int64))
+        assert got.tolist() == expect
+
+    @pytest.mark.parametrize("top", [(1 << 31) - 5, 1 << 31,
+                                     (1 << 32) + 7])
+    def test_merge_count_past_int32(self, top):
+        # three values padded to four, the pad just above ``top``
+        values = [top - 5, top, 3]
+        got = _count_earlier_greater(np.asarray(values, dtype=np.int64))
+        assert got.tolist() == [0, 0, 2]
 
 
 class TestHistogramPricing:

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.resilience import artifacts
 from repro.resilience.artifacts import ArtifactIntegrityError
 from repro.serve import BBoxQuery, ChunkStore, VolumeServer
 
@@ -92,6 +93,30 @@ class TestCorruptSegment:
         seg_path = store._replica_path(1, 0)
         os.remove(seg_path + ".integrity.json")
         assert np.array_equal(store.read_bbox((0, 0, 0), SHAPE), dense)
+
+    def test_sidecarless_read_looks_up_the_sidecar_once(self, tmp_path,
+                                                        dense, monkeypatch):
+        # a copy without a sidecar is read unverified: one failed
+        # sidecar open and one data open per read, never a second
+        # sidecar lookup inside the artifact layer
+        path = os.path.join(tmp_path, "s")
+        store = ChunkStore.create(path, dense, chunk=4,
+                                  chunks_per_segment=2)
+        seg_path = store._replica_path(1, 0)
+        os.remove(seg_path + ".integrity.json")
+        opened = []
+        real_open = os.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(artifacts.os, "open", counting_open)
+        first, second = store.read_segment(1), store.read_segment(1)
+        assert np.array_equal(first, second)
+        assert opened.count(seg_path + ".integrity.json") == 2
+        assert opened.count(seg_path) == 2
+        assert len(opened) == 4
 
     def test_truncated_sidecarless_segment_rebuilds(self, tmp_path, dense):
         path = os.path.join(tmp_path, "s")
