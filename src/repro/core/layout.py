@@ -29,7 +29,8 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Layout", "Layout2D", "validate_shape", "as_index_arrays"]
+__all__ = ["Layout", "Layout2D", "validate_shape", "as_index_arrays",
+           "coord_dtype"]
 
 
 def validate_shape(shape: Sequence[int], ndim: int) -> Tuple[int, ...]:
@@ -46,6 +47,13 @@ def as_index_arrays(*coords) -> tuple:
     """Coerce coordinate inputs to broadcast-compatible int64 arrays."""
     arrays = [np.asarray(c, dtype=np.int64) for c in coords]
     return tuple(np.broadcast_arrays(*arrays)) if len(arrays) > 1 else tuple(arrays)
+
+
+def coord_dtype(shape: Sequence[int], margin: int = 0):
+    """int16 when every coordinate of ``shape``, widened by ``margin`` on
+    both sides, fits in it, else int32: the type kernels keep voxel
+    coordinates in between their traversal and its addressing."""
+    return np.int16 if max(shape) + margin <= 1 << 15 else np.int32
 
 
 class Layout(ABC):

@@ -12,7 +12,7 @@ d_s tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -67,11 +67,41 @@ _GRID_CACHE: Dict[tuple, Grid] = {}
 _MINMAX_CACHE: Dict[tuple, MinMaxBricks] = {}
 
 
+class _Traversals:
+    """The last cell's traversal of each work item, for its layout twin.
+
+    A figure pairs every cell with one that differs only in ``layout``,
+    and no traversal depends on the layout, so the second cell of a
+    pair only re-addresses the first one's traversals.  The key is the
+    cell with its layout set aside — every other field, compared
+    exactly; a cell with another key replaces the memo, so it holds one
+    cell's traversals and never outlives a pair.
+    """
+
+    def __init__(self):
+        self.key = None
+        self.items: dict = {}
+
+    def for_cell(self, cell) -> dict:
+        """``cell``'s work item → traversal map (empty on a new key)."""
+        key = replace(cell, layout="")
+        if key != self.key:
+            self.key, self.items = key, {}
+        return self.items
+
+    def clear(self) -> None:
+        self.key, self.items = None, {}
+
+
+_TRAVERSALS = _Traversals()
+
+
 def clear_caches() -> None:
-    """Drop cached datasets, grids and skip structures."""
+    """Drop cached datasets, grids, skip structures and traversals."""
     _DENSE_CACHE.clear()
     _GRID_CACHE.clear()
     _MINMAX_CACHE.clear()
+    _TRAVERSALS.clear()
 
 
 def _dense_for(dataset: str, shape: tuple, seed: int) -> np.ndarray:
@@ -200,11 +230,14 @@ def _prepare_bilateral(cell: BilateralCell) -> PreparedCell:
         if cell.trace_writes:
             out_grid = Grid(make_layout(cell.layout, shape),
                             dtype=np.float32)
-        works = build_thread_works(
-            sampled_assignment,
-            lambda p: filt.pencil_trace(grid, p, space, out_grid=out_grid),
-            affinity,
-        )
+        reads = _TRAVERSALS.for_cell(cell)
+
+        def render(pencil):
+            chunk, reads[pencil] = filt.pencil_trace_shared(
+                grid, pencil, space, out_grid, reads.get(pencil))
+            return chunk
+
+        works = build_thread_works(sampled_assignment, render, affinity)
         sp.add("items", sampled_items)
         sp.add("accesses", sum(w.chunk.n_accesses for w in works))
 
@@ -285,15 +318,16 @@ def _prepare_volrend(cell: VolrendCell) -> PreparedCell:
         thread_factor = per_thread_full / max(thread_rays, default=1.0)
 
     with _trace.span("cell.trace_gen") as sp:
-        works = build_thread_works(
-            sampled_assignment,
-            lambda t: renderer.render_tile(
-                camera, t, space=space,
+        reads = _TRAVERSALS.for_cell(cell)
+
+        def render(tile):
+            result, reads[tile] = renderer.render_tile_shared(
+                camera, tile, space,
                 want_values=cell.early_termination is not None,
-                ray_step=cell.ray_step,
-            ).trace,
-            affinity,
-        )
+                ray_step=cell.ray_step, reads=reads.get(tile))
+            return result.trace
+
+        works = build_thread_works(sampled_assignment, render, affinity)
         sp.add("items", sum(len(v) for v in sampled_assignment.values()))
         sp.add("accesses", sum(w.chunk.n_accesses for w in works))
 

@@ -9,7 +9,12 @@
 """
 
 from .acceleration import MinMaxBricks
-from .bilateral import STENCIL_LABELS, BilateralFilter3D, BilateralSpec
+from .bilateral import (
+    STENCIL_LABELS,
+    BilateralFilter3D,
+    BilateralSpec,
+    PencilReads,
+)
 from .bilateral2d import Bilateral2DSpec, BilateralFilter2D
 from .camera import Camera, generate_rays, orbit_camera
 from .convolution import GaussianConvolution3D, GaussianSpec
@@ -23,7 +28,13 @@ from .transfer import (
     sparse_ramp,
     warm_ramp,
 )
-from .volrend import RaycastRenderer, RenderSpec, TileResult, ray_box_intersect
+from .volrend import (
+    RaycastRenderer,
+    RayReads,
+    RenderSpec,
+    TileResult,
+    ray_box_intersect,
+)
 
 __all__ = [
     "STENCIL_LABELS",
@@ -37,6 +48,8 @@ __all__ = [
     "Jacobi3D",
     "JacobiSpec",
     "MinMaxBricks",
+    "PencilReads",
+    "RayReads",
     "RaycastRenderer",
     "RenderSpec",
     "TileResult",

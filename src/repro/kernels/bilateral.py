@@ -21,7 +21,11 @@ The class exposes both faces of the study:
   the paper's C implementation performs, in the configured stencil
   iteration order (``xyz`` = innermost loop over x, the array-friendly
   order; ``zyx`` = innermost loop over z, the deliberately
-  against-the-grain order), which feeds the memory simulator.
+  against-the-grain order), which feeds the memory simulator.  It runs
+  in two steps: a traversal (:meth:`BilateralFilter3D.pencil_reads`,
+  the voxel each load reads, which no layout changes) and its
+  addressing through the grid's layout, so cells that differ only in
+  layout can share one traversal.
 
 Paper stencil labels: ``r1`` → 3³, ``r3`` → 5³, ``r5`` → 11³.
 """
@@ -34,13 +38,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..core.grid import Grid
-from ..core.layout import Layout
+from ..core.layout import Layout, coord_dtype
 from ..instrument import trace as _trace
 from ..memsim.address import AddressSpace
-from ..memsim.trace import TraceChunk
+from ..memsim.trace import TraceChunk, collapse_consecutive, offsets_to_lines
 from ..parallel.pencil import Pencil, pencil_coords
 
-__all__ = ["BilateralSpec", "BilateralFilter3D", "STENCIL_LABELS"]
+__all__ = ["BilateralSpec", "BilateralFilter3D", "PencilReads",
+           "STENCIL_LABELS"]
 
 #: Paper's row labels → stencil radius (stencil edge = 2*radius + 1).
 STENCIL_LABELS = {"r1": 1, "r3": 2, "r5": 5}
@@ -89,6 +94,24 @@ class BilateralSpec:
         return self.edge ** 3
 
 
+@dataclass(frozen=True)
+class PencilReads:
+    """One pencil's traversal: what its trace holds, short of addresses.
+
+    Attributes
+    ----------
+    voxels : np.ndarray
+        ``(3, n)`` coordinates of the voxel each in-bounds tap reads, in
+        load order.
+    ends : np.ndarray
+        Per output voxel, how many taps have been read once its own are
+        done (where its store goes when writes are traced).
+    """
+
+    voxels: np.ndarray
+    ends: np.ndarray
+
+
 class BilateralFilter3D:
     """Bilateral filter with layout-transparent access (paper Section III)."""
 
@@ -122,12 +145,14 @@ class BilateralFilter3D:
         """Neighbour coordinates and validity mask for one pencil.
 
         Returns ``(ii, jj, kk, valid)`` of shape ``(n_voxels, n_taps)``
-        where row ``v`` lists output voxel ``v``'s taps in stencil order.
+        where row ``v`` lists output voxel ``v``'s taps in stencil order;
+        coordinates are of :func:`~repro.core.layout.coord_dtype`.
         """
+        dtype = coord_dtype(shape, self.spec.radius)
         i0, j0, k0 = pencil_coords(pencil, shape)
-        ii = i0[:, None] + self._dx[None, :]
-        jj = j0[:, None] + self._dy[None, :]
-        kk = k0[:, None] + self._dz[None, :]
+        ii = i0.astype(dtype)[:, None] + self._dx.astype(dtype)[None, :]
+        jj = j0.astype(dtype)[:, None] + self._dy.astype(dtype)[None, :]
+        kk = k0.astype(dtype)[:, None] + self._dz.astype(dtype)[None, :]
         nx, ny, nz = shape
         valid = (
             (ii >= 0) & (ii < nx)
@@ -154,6 +179,21 @@ class BilateralFilter3D:
         k_norm = w.sum(axis=1)
         return (w * neigh).sum(axis=1) / k_norm
 
+    def pencil_reads(self, shape, pencil: Pencil) -> PencilReads:
+        """The traversal of one pencil: every in-bounds tap's voxel.
+
+        Voxel-major, tap-minor in the configured stencil order — the
+        loads of the C loop nest.  No layout enters it, so one
+        traversal serves the pencil on every layout.
+        """
+        ii, jj, kk, valid = self._pencil_taps(shape, pencil)
+        flat = valid.ravel()
+        voxels = np.empty((3, int(np.count_nonzero(flat))), dtype=ii.dtype)
+        for row, axis in zip(voxels, (ii, jj, kk)):
+            np.compress(flat, axis.ravel(), out=row)
+        return PencilReads(voxels=voxels,
+                           ends=np.cumsum(np.count_nonzero(valid, axis=1)))
+
     def pencil_trace(self, grid: Grid, pencil: Pencil,
                      space: AddressSpace,
                      out_grid: Optional[Grid] = None) -> TraceChunk:
@@ -168,35 +208,43 @@ class BilateralFilter3D:
         like a read of the target line), so the trace carries the full
         read+write traffic of the loop nest.
         """
-        with _trace.span("bilateral.pencil", axis=pencil.axis) as sp:
-            shape = grid.shape
-            ii, jj, kk, valid = self._pencil_taps(shape, pencil)
-            flat = valid.ravel()
-            offs = grid.offsets(ii.ravel()[flat], jj.ravel()[flat],
-                                kk.ravel()[flat])
-            from ..memsim.trace import collapse_consecutive, offsets_to_lines
+        return self.pencil_trace_shared(grid, pencil, space, out_grid)[0]
 
+    def pencil_trace_shared(self, grid: Grid, pencil: Pencil,
+                            space: AddressSpace,
+                            out_grid: Optional[Grid] = None,
+                            reads: Optional[PencilReads] = None
+                            ) -> Tuple[TraceChunk, PencilReads]:
+        """:meth:`pencil_trace`, also returning the pencil's traversal.
+
+        ``reads``, when given, is :meth:`pencil_reads` of the same
+        pencil and volume shape, typically kept from a cell on another
+        layout; only its addressing through ``grid``'s layout runs.
+        """
+        with _trace.span("bilateral.pencil", axis=pencil.axis) as sp:
+            if reads is None:
+                reads = self.pencil_reads(grid.shape, pencil)
+            n_ops = reads.voxels.shape[1]
+            offs = grid.offsets(*reads.voxels.astype(np.int64))
             read_lines = offsets_to_lines(offs, grid.itemsize, space.line_bytes,
                                           space.register(grid))
-            n_ops = int(flat.sum())
             if out_grid is None:
                 lines = read_lines
             else:
-                i0, j0, k0 = pencil_coords(pencil, shape)
+                i0, j0, k0 = pencil_coords(pencil, grid.shape)
                 w_offs = out_grid.offsets(i0, j0, k0)
                 write_lines = offsets_to_lines(
                     w_offs, out_grid.itemsize, space.line_bytes,
                     space.register(out_grid))
                 # each voxel's store lands right after its last tap
-                insert_at = np.cumsum(valid.sum(axis=1))
-                lines = np.insert(read_lines, insert_at, write_lines)
+                lines = np.insert(read_lines, reads.ends, write_lines)
                 n_ops += write_lines.size
             collapsed, removed = collapse_consecutive(lines)
-            sp.add("voxels", valid.shape[0])
+            sp.add("voxels", reads.ends.size)
             sp.add("taps", n_ops)
             sp.add("lines", collapsed.size)
             return TraceChunk(lines=collapsed, collapsed_hits=removed,
-                              n_ops=n_ops)
+                              n_ops=n_ops), reads
 
     # -- whole-volume value paths -------------------------------------------------
 

@@ -14,7 +14,50 @@ import numpy as np
 
 from ..core.grid import Grid
 
-__all__ = ["sample_nearest", "sample_trilinear"]
+__all__ = ["sample_nearest", "sample_trilinear", "nearest_voxels",
+           "trilinear_voxels"]
+
+#: a trilinear sample's 8 cell corners in load order: c000, c100, c010,
+#: c110, c001, c101, c011, c111 (x fastest)
+_CORNERS = np.array(
+    [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0],
+     [0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
+    dtype=np.int64,
+)
+
+
+def nearest_voxels(shape, pts: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """``(i, j, k)`` of the voxel nearest each position of ``pts`` (n, 3),
+    clamped to ``shape``: the one load of a nearest sample."""
+    pts = np.asarray(pts, dtype=np.float64)
+    return tuple(np.clip(np.rint(pts[:, c]).astype(np.int64), 0, n - 1)
+                 for c, n in enumerate(shape))
+
+
+def _cell_base(shape, pts: np.ndarray) -> np.ndarray:
+    """Each position's cell base, clamped so the +1 corner stays in bounds."""
+    base = np.floor(pts).astype(np.int64)
+    for c, n in enumerate(shape):
+        base[:, c] = np.clip(base[:, c], 0, max(n - 2, 0))
+    return base
+
+
+def _corners(shape, base: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The 8 corners of each cell, flattened sample-major."""
+    out = []
+    for c, n in enumerate(shape):
+        axis = base[:, c:c + 1] + _CORNERS[:, c][None, :]
+        if n == 1:
+            axis[:] = 0
+        out.append(axis.ravel())
+    return tuple(out)
+
+
+def trilinear_voxels(shape, pts: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """``(i, j, k)`` of the 8 cell corners each position of ``pts`` (n, 3)
+    reads, in load order (see :func:`sample_trilinear`)."""
+    return _corners(shape, _cell_base(shape, np.asarray(pts,
+                                                        dtype=np.float64)))
 
 
 def sample_nearest(grid: Grid, pts: np.ndarray
@@ -24,12 +67,7 @@ def sample_nearest(grid: Grid, pts: np.ndarray
     Returns ``(values, offsets)`` where ``offsets`` has one element
     offset per sample, in sample order.
     """
-    pts = np.asarray(pts, dtype=np.float64)
-    nx, ny, nz = grid.shape
-    i = np.clip(np.rint(pts[:, 0]).astype(np.int64), 0, nx - 1)
-    j = np.clip(np.rint(pts[:, 1]).astype(np.int64), 0, ny - 1)
-    k = np.clip(np.rint(pts[:, 2]).astype(np.int64), 0, nz - 1)
-    offs = grid.offsets(i, j, k)
+    offs = grid.offsets(*nearest_voxels(grid.shape, pts))
     return grid.buffer[offs].astype(np.float64), offs
 
 
@@ -43,31 +81,12 @@ def sample_trilinear(grid: Grid, pts: np.ndarray
     load order of a straightforward inner loop.
     """
     pts = np.asarray(pts, dtype=np.float64)
-    nx, ny, nz = grid.shape
-    # cell base (clamped so the +1 corner stays in bounds)
-    base = np.floor(pts).astype(np.int64)
-    base[:, 0] = np.clip(base[:, 0], 0, max(nx - 2, 0))
-    base[:, 1] = np.clip(base[:, 1], 0, max(ny - 2, 0))
-    base[:, 2] = np.clip(base[:, 2], 0, max(nz - 2, 0))
+    base = _cell_base(grid.shape, pts)
     frac = np.clip(pts - base, 0.0, 1.0)
     fx, fy, fz = frac[:, 0], frac[:, 1], frac[:, 2]
 
     n = pts.shape[0]
-    corner_offsets = np.array(
-        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0],
-         [0, 0, 1], [1, 0, 1], [0, 1, 1], [1, 1, 1]],
-        dtype=np.int64,
-    )
-    ii = base[:, 0:1] + corner_offsets[:, 0][None, :]
-    jj = base[:, 1:2] + corner_offsets[:, 1][None, :]
-    kk = base[:, 2:3] + corner_offsets[:, 2][None, :]
-    if nx == 1:
-        ii[:] = 0
-    if ny == 1:
-        jj[:] = 0
-    if nz == 1:
-        kk[:] = 0
-    offs = grid.offsets(ii.ravel(), jj.ravel(), kk.ravel())
+    offs = grid.offsets(*_corners(grid.shape, base))
     vals = grid.buffer[offs].reshape(n, 8).astype(np.float64)
 
     wx = np.stack([1 - fx, fx], axis=1)
@@ -75,8 +94,8 @@ def sample_trilinear(grid: Grid, pts: np.ndarray
     wz = np.stack([1 - fz, fz], axis=1)
     # weight for corner (a, b, c) is wx[a] * wy[b] * wz[c]
     w = (
-        wx[:, corner_offsets[:, 0]]
-        * wy[:, corner_offsets[:, 1]]
-        * wz[:, corner_offsets[:, 2]]
+        wx[:, _CORNERS[:, 0]]
+        * wy[:, _CORNERS[:, 1]]
+        * wz[:, _CORNERS[:, 2]]
     )
     return (vals * w).sum(axis=1), offs

@@ -11,6 +11,12 @@ swings with viewpoint while Z-order stays flat.
 As with the bilateral filter, the renderer exposes a numpy value path
 (actual pixels, testable against analytic fields) and a stream path
 (the exact sample-load sequence per tile) that drives the simulator.
+The stream path runs in two steps: a traversal
+(:meth:`RaycastRenderer.traverse`: rays, box clipping, sample
+positions, brick skipping, early termination and the voxel each load
+reads, none of which a layout changes) and its addressing through the
+grid's layout, so cells that differ only in layout can share one
+traversal.
 """
 
 from __future__ import annotations
@@ -21,15 +27,22 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..core.grid import Grid
+from ..core.layout import coord_dtype
 from ..instrument import trace as _trace
 from ..memsim.address import AddressSpace
-from ..memsim.trace import TraceChunk
+from ..memsim.trace import TraceChunk, concat_chunks
 from ..parallel.tiles import Tile, tile_pixels
 from .camera import Camera, generate_rays
-from .sampling import sample_nearest, sample_trilinear
+from .sampling import (
+    nearest_voxels,
+    sample_nearest,
+    sample_trilinear,
+    trilinear_voxels,
+)
 from .transfer import TransferFunction
 
-__all__ = ["RenderSpec", "ray_box_intersect", "RaycastRenderer", "TileResult"]
+__all__ = ["RenderSpec", "ray_box_intersect", "RaycastRenderer", "RayReads",
+           "TileResult"]
 
 
 @dataclass(frozen=True)
@@ -110,6 +123,34 @@ class TileResult:
     rgba: Optional[np.ndarray]
     trace: Optional[TraceChunk]
     n_samples: int
+
+
+@dataclass(frozen=True)
+class RayReads:
+    """One pixel list's traversal: what its trace holds, short of addresses.
+
+    Attributes
+    ----------
+    voxels : np.ndarray
+        ``(3, n)`` coordinates of the voxel behind each grid load, in
+        load order, after brick skipping and early termination.
+    structure : np.ndarray or None
+        Skip-structure offsets looked up by every in-volume sample, when
+        the renderer skips and the traversal was asked for them (None
+        also when no ray enters the volume).
+    n_rays : int
+        Rays cast.
+    n_samples : int
+        Composited samples (the renderer's op count).
+    rgba : np.ndarray or None
+        ``(n_rays, 4)`` pixel values, when compositing ran.
+    """
+
+    voxels: np.ndarray
+    structure: Optional[np.ndarray]
+    n_rays: int
+    n_samples: int
+    rgba: Optional[np.ndarray]
 
 
 class RaycastRenderer:
@@ -207,85 +248,123 @@ class RaycastRenderer:
 
     # -- main entry ----------------------------------------------------------------
 
-    def render_pixels(self, camera: Camera, px: np.ndarray, py: np.ndarray,
-                      space: Optional[AddressSpace] = None,
-                      want_values: bool = True) -> TileResult:
-        """Render a pixel list; optionally also emit the access stream.
+    def traverse(self, camera: Camera, px: np.ndarray, py: np.ndarray,
+                 want_values: bool = True,
+                 structure: bool = False) -> RayReads:
+        """The traversal of a pixel list: every load, short of its address.
 
-        The stream is ray-major, sample-minor (each pixel's ray is
-        integrated to completion before the next pixel starts), matching
-        the paper's per-pixel outer loop.  Only in-volume samples are
-        built; compositing (for values or early termination) scatters
-        them onto a ``(rays, max_steps)`` array.
+        Ray-major, sample-minor (each pixel's ray is integrated to
+        completion before the next pixel starts), matching the paper's
+        per-pixel outer loop.  Only in-volume samples are built;
+        compositing (for values or early termination) scatters them
+        onto a ``(rays, max_steps)`` array and is the one step that
+        reads the grid.  ``structure`` asks for the skip structure's
+        lookups as well.  No layout changes the result, so one
+        traversal serves the pixels on every layout.
         """
         spec = self.spec
         pts, ray, step, n_steps = self._sample_positions(camera, px, py)
         n_rays = n_steps.size
         max_steps = int(n_steps.max()) if n_rays else 0
-        struct_trace = None
+        struct = None
         if self._skip_active is not None:
             # the structure lookup happens for every in-volume sample;
             # only active-brick samples proceed to load and composite
-            if space is not None and ray.size:
-                struct_offs = self.skip.structure_offsets(pts)
-                base = space.register_object(self.skip, self.skip.n_bricks * 8)
-                struct_trace = TraceChunk.from_offsets(
-                    struct_offs, 8, space.line_bytes, base_bytes=base)
+            if structure and ray.size:
+                struct = self.skip.structure_offsets(pts)
             active = self.skip.active_mask_for_points(pts, self._skip_active)
             pts, ray, step = pts[active], ray[active], step[active]
 
-        sampler = sample_nearest if spec.sampler == "nearest" else sample_trilinear
-        if ray.size:
-            values, offsets = sampler(self.grid, pts)
-        else:
-            values = np.empty(0)
-            offsets = np.empty(0, dtype=np.int64)
-
+        nearest = spec.sampler == "nearest"
+        voxels = np.array((nearest_voxels if nearest else trilinear_voxels)(
+            self.grid.shape, pts), dtype=coord_dtype(self.grid.shape))
         rgba_img = None
         n_samples = int(ray.size)
         if want_values or spec.early_termination is not None:
+            sampler = sample_nearest if nearest else sample_trilinear
+            values = sampler(self.grid, pts)[0] if ray.size else np.empty(0)
             rgba_img, term_step = self._composite(values, ray, step, n_rays,
                                                   max_steps)
             if spec.early_termination is not None:
-                # truncate both the op count and the trace at termination
+                # truncate both the op count and the loads at termination
                 kept = step < term_step[ray]
                 n_samples = int(kept.sum())
-                if spec.sampler == "trilinear":
+                if not nearest:
                     kept = np.repeat(kept, 8)
-                offsets = offsets[kept]
+                voxels = voxels[:, kept]
+        return RayReads(voxels=voxels, structure=struct, n_rays=n_rays,
+                        n_samples=n_samples, rgba=rgba_img)
 
-        trace = None
-        if space is not None:
-            base = space.register(self.grid)
-            trace = TraceChunk.from_offsets(
-                offsets, self.grid.itemsize, space.line_bytes,
-                base_bytes=base, n_ops=n_samples,
-            )
-            if struct_trace is not None:
-                from ..memsim.trace import concat_chunks
+    def address(self, reads: RayReads, space: AddressSpace) -> TraceChunk:
+        """The access stream of a traversal, through this grid's layout."""
+        struct_trace = None
+        if reads.structure is not None:
+            base = space.register_object(self.skip, self.skip.n_bricks * 8)
+            struct_trace = TraceChunk.from_offsets(
+                reads.structure, 8, space.line_bytes, base_bytes=base)
+        if reads.voxels.shape[1]:
+            offsets = self.grid.offsets(*reads.voxels.astype(np.int64))
+        else:
+            offsets = np.empty(0, dtype=np.int64)
+        trace = TraceChunk.from_offsets(
+            offsets, self.grid.itemsize, space.line_bytes,
+            base_bytes=space.register(self.grid), n_ops=reads.n_samples,
+        )
+        if struct_trace is not None:
+            trace = concat_chunks([struct_trace, trace])
+        return trace
 
-                trace = concat_chunks([struct_trace, trace])
+    def render_pixels(self, camera: Camera, px: np.ndarray, py: np.ndarray,
+                      space: Optional[AddressSpace] = None,
+                      want_values: bool = True) -> TileResult:
+        """Render a pixel list; optionally also emit the access stream.
+
+        :meth:`traverse` and, given ``space``, :meth:`address`.
+        """
+        reads = self.traverse(camera, px, py, want_values=want_values,
+                              structure=space is not None)
+        return self._result(reads, space, want_values)
+
+    def _result(self, reads: RayReads, space: Optional[AddressSpace],
+                want_values: bool) -> TileResult:
         return TileResult(
-            rgba=rgba_img if want_values else None,
-            trace=trace,
-            n_samples=n_samples,
+            rgba=reads.rgba if want_values else None,
+            trace=None if space is None else self.address(reads, space),
+            n_samples=reads.n_samples,
         )
 
     def render_tile(self, camera: Camera, tile: Tile,
                     space: Optional[AddressSpace] = None,
                     want_values: bool = True, ray_step: int = 1) -> TileResult:
         """Render one image tile (optionally subsampling rays by ``ray_step``)."""
+        return self.render_tile_shared(camera, tile, space, want_values,
+                                       ray_step)[0]
+
+    def render_tile_shared(self, camera: Camera, tile: Tile,
+                           space: Optional[AddressSpace] = None,
+                           want_values: bool = True, ray_step: int = 1,
+                           reads: Optional[RayReads] = None
+                           ) -> Tuple[TileResult, RayReads]:
+        """:meth:`render_tile`, also returning the tile's traversal.
+
+        ``reads``, when given, is the traversal of the same tile with the
+        same camera, arguments and renderer settings, typically kept
+        from a cell on another layout; only its addressing through this
+        grid's layout runs.
+        """
         with _trace.span("volrend.tile", x0=tile.x0, y0=tile.y0) as sp:
-            px, py = tile_pixels(tile, step=ray_step)
-            result = self.render_pixels(camera, px, py, space=space,
-                                        want_values=want_values)
+            if reads is None:
+                px, py = tile_pixels(tile, step=ray_step)
+                reads = self.traverse(camera, px, py, want_values=want_values,
+                                      structure=space is not None)
+            result = self._result(reads, space, want_values)
             if result.rgba is not None and ray_step == 1:
                 result.rgba = result.rgba.reshape(tile.h, tile.w, 4)
-            sp.add("rays", px.size)
+            sp.add("rays", reads.n_rays)
             sp.add("samples", result.n_samples)
             if result.trace is not None:
                 sp.add("lines", result.trace.lines.size)
-            return result
+            return result, reads
 
     def render_image(self, camera: Camera) -> np.ndarray:
         """Render the full image; returns ``(height, width, 4)`` RGBA."""

@@ -176,29 +176,31 @@ def _merge(parts: List[Tuple[np.ndarray, np.ndarray]], n_batches: int):
     """
     if len(parts) == 1:
         return parts.pop()
-    sizes = sum(np.bincount(batch, minlength=n_batches) for _, batch in parts)
+    counts = [np.bincount(batch, minlength=n_batches) for _, batch in parts]
+    sizes = sum(counts)
     first = np.cumsum(sizes) - sizes  # where each batch starts, merged
     total = int(sizes.sum())
     lines = np.empty(total, dtype=np.int64)
     batch = np.empty(total, dtype=np.int32)
     while parts:
         part_lines, part_batch = parts.pop()
-        # a line's slot: its batch's start plus its rank in the batch
-        at = first[part_batch] + (np.arange(part_batch.size)
-                                  - np.searchsorted(part_batch, part_batch))
+        mine = counts.pop()
+        # a line's slot: its batch's merged start plus its rank in the
+        # batch, the batch's lines being one run of the part
+        shift = first - (np.cumsum(mine) - mine)
+        at = shift[part_batch] + np.arange(part_batch.size)
         lines[at] = part_lines
         batch[at] = part_batch
     return lines, batch
 
 
-def _add_stats(stats: CacheStats, hit: np.ndarray, fills: int) -> None:
+def _add_stats(stats: CacheStats, accesses: int, misses: int,
+               fills: int) -> None:
     """Fold one priced stream into an instance's counters."""
-    n_hit = int(np.count_nonzero(hit))
-    n_miss = hit.size - n_hit
-    stats.accesses += hit.size
-    stats.hits += n_hit
-    stats.misses += n_miss
-    stats.evictions += n_miss - fills
+    stats.accesses += accesses
+    stats.hits += accesses - misses
+    stats.misses += misses
+    stats.evictions += misses - fills
 
 
 class SimulationEngine:
@@ -378,8 +380,9 @@ class SimulationEngine:
         if tlb is not None:
             pages = lines // (tlb.config.line_bytes // self.spec.line_bytes)
             hit, fills = lru_hits(pages, tlb.config.n_sets, tlb.config.ways)
-            _add_stats(tlb.stats, hit, fills)
-            tlb_misses += np.bincount(batch[~hit], minlength=batches.size)
+            missed = batch[~hit]
+            _add_stats(tlb.stats, hit.size, missed.size, fills)
+            tlb_misses += np.bincount(missed, minlength=batches.size)
         return lines, batch
 
     def _price_levels(self, works: List[ThreadWork], batches: _Batches):
@@ -397,9 +400,10 @@ class SimulationEngine:
         spec, machine = self.spec, self.machine
         levels = spec.levels
         n = batches.size
-        # requests served per batch by each level, memory last
-        served = [np.zeros(n, dtype=np.int64) for _ in range(len(levels) + 1)]
-        served[0] += batches.credit
+        # requests per batch that reach each level, memory last: every
+        # line reaches the innermost level, and a level's misses the next
+        reach = [batches.count] + [np.zeros(n, dtype=np.int64)
+                                   for _ in levels]
         tlb_misses = np.zeros(n, dtype=np.int64)
         for w in works:  # collapsed repeats are L1 hits, never priced
             stats = machine.level_instances(0)[
@@ -409,13 +413,16 @@ class SimulationEngine:
 
         def price(li, key, stream):
             lines, batch = stream
-            hit, fills = lru_hits(lines, levels[li].cache.n_sets,
-                                  levels[li].cache.ways)
-            _add_stats(machine.level_instances(li)[key].stats, hit, fills)
-            served[li] += np.bincount(batch[hit], minlength=n)
-            lines, batch = lines[~hit], batch[~hit]
-            if li == len(levels) - 1:
-                served[-1] += np.bincount(batch, minlength=n)
+            missed, fills = lru_hits(lines, levels[li].cache.n_sets,
+                                     levels[li].cache.ways)
+            np.logical_not(missed, out=missed)
+            batch = batch[missed]
+            # the outermost level's misses go to memory: only their
+            # batches count
+            lines = lines[missed] if li < len(levels) - 1 else None
+            _add_stats(machine.level_instances(li)[key].stats, missed.size,
+                       batch.size, fills)
+            reach[li + 1] += np.bincount(batch, minlength=n)
             return lines, batch
 
         private = 0
@@ -453,8 +460,10 @@ class SimulationEngine:
                         for core in members:
                             mine = owner == core
                             pending[core] = (lines[mine], batch[mine])
+        served = [reach[li] - reach[li + 1] for li in range(len(levels))]
+        served[0] += batches.credit
         per_batch = self.cost.batch_access_cycles(
-            served[:-1], served[-1], tlb_misses, spec)
+            served, reach[-1], tlb_misses, spec)
         cycles = {w.thread_id: 0.0 for w in works}
         for tid in cycles:
             mine = per_batch[batches.tid == tid]
@@ -462,7 +471,7 @@ class SimulationEngine:
                 cycles[tid] = float(np.cumsum(mine)[-1])
         totals = {level.cache.name: int(s.sum())
                   for level, s in zip(levels, served)}
-        totals["MEM"] = int(served[-1].sum())
+        totals["MEM"] = int(reach[-1].sum())
         return cycles, totals
 
     def _price_histograms(self, works: List[ThreadWork], batches: _Batches,

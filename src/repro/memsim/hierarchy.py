@@ -353,8 +353,14 @@ class Machine:
         return getattr(stats, kind)
 
     def all_counters(self) -> Dict[str, int]:
-        """All platform counters as a dict."""
-        return {name: self.counter(name) for name in self.spec.counters}
+        """All platform counters as a dict (each level aggregated once)."""
+        stats: Dict[str, CacheStats] = {}
+        out = {}
+        for name, (level_name, kind) in self.spec.counters.items():
+            if level_name not in stats:
+                stats[level_name] = self.level_stats(level_name)
+            out[name] = getattr(stats[level_name], kind)
+        return out
 
     def prefetch_stats(self) -> Dict[str, Dict[str, int]]:
         """Per-level prefetcher totals: {level: {issued, installed}}."""

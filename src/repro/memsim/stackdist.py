@@ -52,15 +52,34 @@ rule that applies:
 4. otherwise a block scan walks back from the access, counting
    positions whose line does not recur before it — each is a distinct
    line of the window — until it has seen ``W`` of them (a miss) or
-   covered the whole gap (a hit).  Blocks double in width, and rows
-   are scanned in slabs of bounded size, so the scan's memory stays
-   flat however deep a window is.
+   covered the whole gap (a hit).  Each block is as wide as all the
+   columns before it, and rows are scanned in slabs of bounded size,
+   so the scan's memory stays flat however deep a window is.
 
 Back-to-back repeats (hits that change nothing) are dropped first.
-On the paper's figure cells rules 1–3 settle ~96% of the accesses
-that reach a cache or TLB, leaving ~4% to the scan.  A line that is
+On a seed-0 round of the benchmark's figure cells rules 1–3 settle
+~93% of the accesses that reach a cache or TLB, leaving ~7% to the
+scan (17% at the MIC's one-set L1, 11% at its L2).  A line that is
 never evicted is never re-filled, so a cold LRU set's fills into empty
 ways number ``min(distinct lines, W)``; every other miss evicts.
+
+Every step is a whole-array pass, so the pricing's cost is its number
+of passes over the stream:
+
+* keys are the lines truncated to 16 or 32 bits, which stay one key
+  per line while the lines' span fits and keep the set bits while the
+  sets fit; there is no pass subtracting the smallest line;
+* repeats are dropped, before and after the set sort, only when one
+  exists, and put back at the end with masks;
+* grouping the accesses by line packs each key with its position into
+  one machine word and sorts the words, several times faster than a
+  stable argsort of the keys;
+* each line's links (an access and its line's next access) are found
+  once; ``nxt`` is scattered from them once, and rule 2 scatters its
+  verdict onto every linked access at once;
+* rule 3 runs only when some access is a candidate;
+* scan slabs are column-major, so a block's count adds whole rows, in
+  bytes while the block is narrower than 256 columns.
 
 Validity domain
 ---------------
@@ -287,13 +306,6 @@ class StackDistanceHistogram:
         """
         return self.misses(capacity_lines) - min(self.cold, capacity_lines)
 
-    def miss_ratios(self, capacities: Sequence[int]) -> np.ndarray:
-        """Miss ratio per capacity (0.0 for an empty stream)."""
-        total = self.total
-        if total == 0:
-            return np.zeros(len(capacities), dtype=np.float64)
-        return self.miss_counts(capacities) / float(total)
-
     def as_dict(self) -> Dict[int, int]:
         """``{distance: count}`` with cold keyed by :data:`COLD` — the
         exact shape :func:`repro.analysis.reuse.reuse_distance_histogram`
@@ -352,17 +364,26 @@ def per_thread_histograms(lines, thread_ids) -> Dict[int, StackDistanceHistogram
 # -- set-associative LRU: the W-bounded hit test ---------------------------------
 
 
-def _drop_repeats(lines: np.ndarray, src: np.ndarray):
-    """Drop accesses equal to their predecessor (``src`` rides along).
+def _kept(key: np.ndarray) -> Optional[np.ndarray]:
+    """Mask of the accesses that differ from their predecessor, or None
+    when no access repeats its predecessor.
 
     Back to back in one set, a repeat re-touches the MRU line: a hit
     that changes no LRU state, so the rest of the stream prices the
     same without it.
     """
-    keep = np.empty(lines.size, dtype=bool)
+    keep = np.empty(key.size, dtype=bool)
     keep[0] = True
-    np.not_equal(lines[1:], lines[:-1], out=keep[1:])
-    return lines[keep], src[keep]
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    return None if keep.all() else keep
+
+
+def _spread(hit: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """Hit flags of a whole stream from those of its ``kept`` accesses
+    (the dropped repeats hit)."""
+    out = np.ones(kept.size, dtype=bool)
+    out[kept] = hit
+    return out
 
 
 def _window_min(values: np.ndarray, width: int) -> np.ndarray:
@@ -383,44 +404,49 @@ def _window_min(values: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _deep_hits(nxt: np.ndarray, rows: np.ndarray, gaps: np.ndarray,
+def _deep_hits(nxt: np.ndarray, rows: np.ndarray, prevs: np.ndarray,
                ways: int) -> np.ndarray:
     """The rows (set-sorted positions) of rule 4 that hit.
 
-    Walking back from access ``t``, position ``t - k`` is the last
-    access to its line before ``t`` iff ``nxt[t - k] >= t``, so
-    counting such positions over ``k = 1, 2, ...`` counts the distinct
-    lines of the window.  A row misses once it has counted ``ways`` of
-    them and hits once its whole gap shows fewer.  Columns come in
-    blocks that double in width; rows are scanned in slabs of at most
-    :data:`_SCAN_SLAB` cells.
+    Walking back from access ``t`` towards its line's previous access
+    ``prev``, position ``p`` is the last access to its line before ``t``
+    iff ``nxt[p] > t`` (only ``prev`` itself has ``nxt == t``), so
+    counting such positions counts the distinct lines of the window.
+    Columns past the window are clamped onto ``prev``, which never
+    counts.  A row misses once it has counted ``ways`` lines and hits
+    once its whole window shows fewer.  Columns come in blocks, each as
+    wide as all the columns before it; a slab of rows holds at most
+    :data:`_SCAN_SLAB` cells, column-major, so each block's count is a
+    sum of whole rows.
     """
     hit_rows = [rows[:0]]
-    seen = np.zeros(rows.size, dtype=rows.dtype)
-    alive = np.arange(rows.size, dtype=rows.dtype)
+    seen = np.zeros(rows.size, dtype=np.int32)
     # rule 3 saw a repeat among the first ``ways`` columns, so a block
     # that narrow could only settle rows whose gap it exactly covers
     first, width = 1, 2 * ways
-    while alive.size:
+    while rows.size:
         step = max(1, _SCAN_SLAB // width)
-        cols = np.arange(first, first + width, dtype=rows.dtype)
+        # intp columns make intp indices, numpy's fastest gather; a
+        # block of fewer than 256 columns counts in bytes
+        cols = np.arange(first, first + width)[:, None]
+        narrow = np.uint8 if width < 1 << 8 else np.int32
         survivors = []
-        for a in range(0, alive.size, step):
-            ids = alive[a:a + step]
-            t = rows[ids]
-            g = gaps[ids]
-            back = t[:, None] - cols
-            np.maximum(back, 0, out=back)  # masked columns past the gap
-            fresh = (nxt[back] >= t[:, None]) & (cols <= g[:, None])
-            count = seen[ids] + fresh.sum(axis=1)
-            seen[ids] = count
+        for a in range(0, rows.size, step):
+            t, prev = rows[a:a + step], prevs[a:a + step]
+            back = t - cols
+            np.maximum(back, prev, out=back)
+            fresh = (nxt[back] > t).view(np.uint8)
+            count = seen[a:a + step] + np.add.reduce(fresh, axis=0,
+                                                     dtype=narrow)
             missed = count >= ways
-            covered = ~missed & (g < first + width)
+            covered = t - prev <= first + width
+            covered &= ~missed
             hit_rows.append(t[covered])
-            survivors.append(ids[~missed & ~covered])
-        alive = np.concatenate(survivors)
+            left = ~(missed | covered)
+            survivors.append((t[left], prev[left], count[left]))
+        rows, prevs, seen = (np.concatenate(part) for part in zip(*survivors))
         first += width
-        width = min(2 * width, _SCAN_SLAB)
+        width = min(first - 1, _SCAN_SLAB)
     return np.concatenate(hit_rows)
 
 
@@ -461,57 +487,99 @@ def lru_hits(lines, n_sets: int, ways: int) -> Tuple[np.ndarray, int]:
 def _set_hits(arr: np.ndarray, n_sets: int,
               ways: int) -> Tuple[np.ndarray, int]:
     """:func:`lru_hits` on one validated stream, all sets at once."""
-    hits = np.ones(arr.size, dtype=bool)
     if arr.size == 0:
-        return hits, 0
-    # 32-bit positions, keys as narrow as the lines' span allows (narrow
-    # keys also take numpy's radix sort) and freeing what is done with
-    # keep the temporaries to a few dozen bytes per access
-    pos = np.int32 if arr.size < np.iinfo(np.int32).max else np.int64
-    mask = n_sets - 1
-    low = int(arr.min())
-    span = int(arr.max()) - low
-    key = (arr - low).astype(np.uint16 if span < 1 << 16 else
-                             np.uint32 if span < 1 << 32 else np.int64)
-    key, src = _drop_repeats(key, np.arange(arr.size, dtype=pos))
+        return np.ones(0, dtype=bool), 0
+    # keys truncated to 16 or 32 bits stay one per line while the lines'
+    # span fits, and keep the set bits while the sets do; narrow keys
+    # also take numpy's radix sort
+    span = int(arr.max()) - int(arr.min())
+    if span < 1 << 16 and n_sets <= 1 << 16:
+        key = arr.astype(np.uint16)
+    elif span < 1 << 32 and n_sets <= 1 << 32:
+        key = arr.astype(np.uint32)
+    else:
+        key = arr
+    kept = _kept(key)
+    if kept is not None:
+        key = key[kept]
+    order = set_kept = None
     if n_sets > 1:
-        sets = arr[src] & mask
-        order = np.argsort(sets.astype(np.uint8) if n_sets <= 1 << 8 else
-                           sets.astype(np.uint16) if n_sets <= 1 << 16 else
-                           sets, kind="stable")
+        sets = np.bitwise_and(key, n_sets - 1, casting="unsafe",
+                              dtype=np.uint8 if n_sets <= 1 << 8 else
+                              np.uint16 if n_sets <= 1 << 16 else key.dtype)
+        order = np.argsort(sets, kind="stable")
         del sets
-        key, src = _drop_repeats(key[order], src[order])
-        del order
+        key = key[order]
+        set_kept = _kept(key)
+        if set_kept is not None:
+            key = key[set_kept]
+    hit, fills = _sorted_hits(key, n_sets, ways)
+    if set_kept is not None:
+        hit = _spread(hit, set_kept)
+    if order is not None:
+        unsorted = np.empty_like(hit)
+        unsorted[order] = hit
+        hit = unsorted
+    if kept is not None:
+        hit = _spread(hit, kept)
+    return hit, fills
+
+
+def _grouped(key: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions grouped by key, in position order within each key, and
+    the keys in that order.
+
+    A narrow key and its position packed into one machine word sort as
+    a pair, which numpy does several times faster than a stable
+    argsort; only 64-bit keys leave no room for the position.  The
+    positions come back as 32-bit ints where they fit, which halves
+    the traffic of every pass that uses them.
+    """
     m = key.size
-    # group each line's accesses, set-sorted (= time) order within
-    by_line = np.argsort(key, kind="stable").astype(pos)
-    key = key[by_line]
-    first = np.empty(m, dtype=bool)
-    first[0] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    distinct = np.bincount((key[first].astype(np.int64) + low) & mask,
-                           minlength=n_sets)
-    fills = int(np.minimum(distinct, ways).sum())
+    pos = np.int32 if m < 1 << 31 else np.int64
+    if key.dtype == np.int64:
+        by_key = np.argsort(key, kind="stable").astype(pos)
+        return by_key, key[by_key]
+    bits = 16 if key.dtype == np.uint16 and m <= 1 << 16 else 32
+    word = np.uint32 if bits == 16 else np.uint64
+    packed = key.astype(word) << bits
+    packed |= np.arange(m, dtype=word)
+    packed.sort()
+    return (packed & ((1 << bits) - 1)).astype(pos), packed >> bits
+
+
+def _sorted_hits(key: np.ndarray, n_sets: int,
+                 ways: int) -> Tuple[np.ndarray, int]:
+    """Hit flags and fills of a set-sorted stream with no repeats."""
+    m = key.size
+    by_line, key = _grouped(key)
+    # same[i]: the access at by_line[i + 1] re-touches by_line[i]'s line
+    same = key[1:] == key[:-1]
+    if n_sets == 1:
+        fills = min(m - int(np.count_nonzero(same)), ways)
+    else:
+        heads = key[1:][~same] & (n_sets - 1)
+        distinct = np.bincount(heads.astype(np.intp), minlength=n_sets)
+        distinct[key[0] & (n_sets - 1)] += 1
+        fills = int(np.minimum(distinct, ways).sum())
     del key
-    same = ~first[1:]
     later = by_line[1:][same]
     earlier = by_line[:-1][same]
-    del by_line, first, same
-    nxt = np.full(m, m, dtype=pos)
+    del by_line, same
+    nxt = np.full(m, m, dtype=later.dtype)
     nxt[earlier] = later
-    gaps = later - earlier - 1
-    del earlier
-    hit_res = np.zeros(m, dtype=bool)
-    short = gaps < ways
-    hit_res[later[short]] = True                                 # rule 2
-    rows = later[~short]
-    gaps = gaps[~short]
-    del later, short
+    hit = np.zeros(m, dtype=bool)
+    near = later - earlier <= ways
+    hit[later] = near                                           # rule 2
+    np.logical_not(near, out=near)
+    rows = later[near]
+    prevs = earlier[near]
+    del later, earlier, near
     if rows.size:
-        deep = _window_min(nxt, ways)[rows - 1] < rows           # rule 3
-        hit_res[_deep_hits(nxt, rows[deep], gaps[deep], ways)] = True
-    hits[src[~hit_res]] = False                                  # rule 1 too
-    return hits, fills
+        deep = _window_min(nxt, ways)[rows - 1] < rows          # rule 3
+        if deep.any():
+            hit[_deep_hits(nxt, rows[deep], prevs[deep], ways)] = True
+    return hit, fills                                           # rule 1 too
 
 
 # -- engine eligibility ---------------------------------------------------------

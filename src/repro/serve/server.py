@@ -152,17 +152,13 @@ class QueryResult:
 
 # -- the server ---------------------------------------------------------------
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.cross`` of two 3-vectors, bit for bit, without its set-up cost.
+def _cross3(a: Sequence[float], b: Sequence[float]
+            ) -> Tuple[float, float, float]:
+    """``np.cross`` of two 3-vectors on plain floats, bit for bit,
+    without its set-up cost.
 
     Each component is the same difference of two rounded products.
     """
-    return np.array(_cross3(a.tolist(), b.tolist()))
-
-
-def _cross3(a: Sequence[float], b: Sequence[float]
-            ) -> Tuple[float, float, float]:
-    """:func:`_cross` on plain floats."""
     a0, a1, a2 = a
     b0, b1, b2 = b
     return (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)

@@ -145,7 +145,6 @@ class TestHistogramPricing:
         hist = StackDistanceHistogram.empty()
         assert hist.total == 0
         assert hist.misses(4) == 0
-        assert hist.miss_ratios([1, 2]).tolist() == [0.0, 0.0]
 
 
 class TestPerThread:
