@@ -14,12 +14,8 @@ import numpy as np
 from repro.experiments import figure2, render_ds_figure
 
 
-def _run():
-    return figure2(shape=(64, 64, 64), scale=64, pencils_per_thread=2)
-
-
 def test_fig2_bilateral_ivybridge(benchmark, save_result):
-    fig = benchmark.pedantic(_run, rounds=1, iterations=1)
+    fig = benchmark.pedantic(figure2, rounds=1, iterations=1)
     save_result("fig2_bilateral_ivybridge.txt", render_ds_figure(fig))
 
     # Paper shapes (Section IV-C):

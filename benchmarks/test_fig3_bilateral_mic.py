@@ -14,13 +14,8 @@ import numpy as np
 from repro.experiments import figure3, render_ds_figure
 
 
-def _run():
-    return figure3(shape=(64, 64, 64), scale=64, pencils_per_thread=2,
-                   sample_cores=8)
-
-
 def test_fig3_bilateral_mic(benchmark, save_result):
-    fig = benchmark.pedantic(_run, rounds=1, iterations=1)
+    fig = benchmark.pedantic(figure3, rounds=1, iterations=1)
     save_result("fig3_bilateral_mic.txt", render_ds_figure(fig))
 
     # Paper shapes (Fig. 3): Z-order faster in (nearly) all configurations,

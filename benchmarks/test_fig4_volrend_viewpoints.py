@@ -14,13 +14,8 @@ import numpy as np
 from repro.experiments import figure4, render_series_figure
 
 
-def _run():
-    return figure4(shape=(64, 64, 64), scale=64, n_threads=12,
-                   image_size=256, ray_step=2)
-
-
 def test_fig4_volrend_viewpoints(benchmark, save_result):
-    fig = benchmark.pedantic(_run, rounds=1, iterations=1)
+    fig = benchmark.pedantic(figure4, rounds=1, iterations=1)
     save_result("fig4_volrend_viewpoints.txt", render_series_figure(fig))
 
     rt_a = fig.runtime_a

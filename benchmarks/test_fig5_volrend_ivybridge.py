@@ -14,12 +14,8 @@ import numpy as np
 from repro.experiments import figure5, render_ds_figure
 
 
-def _run():
-    return figure5(shape=(64, 64, 64), scale=64, image_size=256, ray_step=2)
-
-
 def test_fig5_volrend_ivybridge(benchmark, save_result):
-    fig = benchmark.pedantic(_run, rounds=1, iterations=1)
+    fig = benchmark.pedantic(figure5, rounds=1, iterations=1)
     save_result("fig5_volrend_ivybridge.txt", render_ds_figure(fig))
 
     rt = fig.runtime_ds

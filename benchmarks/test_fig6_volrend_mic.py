@@ -13,13 +13,8 @@ import numpy as np
 from repro.experiments import figure6, render_ds_figure
 
 
-def _run():
-    return figure6(shape=(64, 64, 64), scale=64, image_size=512,
-                   ray_step=2, sample_cores=8)
-
-
 def test_fig6_volrend_mic(benchmark, save_result):
-    fig = benchmark.pedantic(_run, rounds=1, iterations=1)
+    fig = benchmark.pedantic(figure6, rounds=1, iterations=1)
     save_result("fig6_volrend_mic.txt", render_ds_figure(fig))
 
     rt = fig.runtime_ds

@@ -22,8 +22,9 @@ counters and the paper's d_s.
 
 Long runs survive interruption: the figure/bilateral/volrend commands
 take ``--checkpoint PATH`` / ``--resume`` (journal completed cells and
-restart where a killed run stopped), ``--retries N`` and
-``--cell-timeout SECONDS`` (reap hung workers).  See docs/RESILIENCE.md.
+restart where a killed run stopped), ``--retries N``,
+``--cell-timeout SECONDS`` (reap hung workers) and ``--govern``
+(resource governance).  See docs/RESILIENCE.md.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .experiments import (
     figure6,
     render_ds_figure,
     render_series_figure,
-    run_cells_parallel,
+    run_layout_pairs,
 )
 from .instrument import (
     build_manifest,
@@ -437,8 +438,28 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-def _print_comparison(res_a, res_z, layouts) -> None:
-    a_name, z_name = layouts
+def _cmd_cell(args) -> int:
+    """``repro bilateral`` / ``repro volrend``: one cell under both layouts."""
+    platform = get_platform(args.platform, scale=args.scale)
+    mic = args.platform == "mic"
+    common = dict(platform=platform, shape=(args.shape,) * 3,
+                  n_threads=args.threads,
+                  affinity="balanced" if mic else "compact",
+                  usable_cores=59 if mic else None,
+                  sample_cores=8 if mic else None)
+    if args.command == "bilateral":
+        cell = BilateralCell(stencil=args.stencil, pencil=args.pencil,
+                             stencil_order=args.order, **common)
+        what = f"bilateral {args.stencil} {args.pencil} {args.order}"
+    else:
+        cell = VolrendCell(viewpoint=args.viewpoint, image_size=args.image,
+                           **common)
+        what = f"volrend viewpoint {args.viewpoint}"
+    [(res_a, res_z)] = run_layout_pairs([cell], args.layouts,
+                                        workers=args.workers,
+                                        **_resilience_kwargs(args))
+    print(f"{what}, {args.threads} threads, {platform.name}\n")
+    a_name, z_name = args.layouts
     print(f"{'metric':<28} {a_name:>14} {z_name:>14} {'d_s':>8}")
     ds = scaled_relative_difference(res_a.runtime_seconds,
                                     res_z.runtime_seconds)
@@ -449,47 +470,6 @@ def _print_comparison(res_a, res_z, layouts) -> None:
         ds = scaled_relative_difference(a, z) if z else float("nan")
         print(f"{name:<28} {a:>14.0f} {z:>14.0f} {ds:>8.2f}")
     print("\n(positive d_s: the second layout measured less — it wins)")
-
-
-def _cmd_bilateral(args) -> int:
-    shape = (args.shape, args.shape, args.shape)
-    platform = get_platform(args.platform, scale=args.scale)
-    mic = args.platform == "mic"
-    cell = BilateralCell(
-        platform=platform, shape=shape, n_threads=args.threads,
-        stencil=args.stencil, pencil=args.pencil, stencil_order=args.order,
-        affinity="balanced" if mic else "compact",
-        usable_cores=59 if mic else None,
-        sample_cores=8 if mic else None,
-        pencils_per_thread=2,
-    )
-    res_a, res_z = run_cells_parallel(
-        [cell.with_layout(args.layouts[0]), cell.with_layout(args.layouts[1])],
-        workers=args.workers, **_resilience_kwargs(args))
-    print(f"bilateral {args.stencil} {args.pencil} {args.order}, "
-          f"{args.threads} threads, {platform.name}\n")
-    _print_comparison(res_a, res_z, args.layouts)
-    return 0
-
-
-def _cmd_volrend(args) -> int:
-    shape = (args.shape, args.shape, args.shape)
-    platform = get_platform(args.platform, scale=args.scale)
-    mic = args.platform == "mic"
-    cell = VolrendCell(
-        platform=platform, shape=shape, n_threads=args.threads,
-        viewpoint=args.viewpoint, image_size=args.image,
-        affinity="balanced" if mic else "compact",
-        usable_cores=59 if mic else None,
-        sample_cores=8 if mic else None,
-        ray_step=2,
-    )
-    res_a, res_z = run_cells_parallel(
-        [cell.with_layout(args.layouts[0]), cell.with_layout(args.layouts[1])],
-        workers=args.workers, **_resilience_kwargs(args))
-    print(f"volrend viewpoint {args.viewpoint}, {args.threads} threads, "
-          f"{platform.name}\n")
-    _print_comparison(res_a, res_z, args.layouts)
     return 0
 
 
@@ -870,10 +850,8 @@ def _dispatch(args) -> int:
         return _cmd_info()
     if args.command == "figure":
         return _cmd_figure(args)
-    if args.command == "bilateral":
-        return _cmd_bilateral(args)
-    if args.command == "volrend":
-        return _cmd_volrend(args)
+    if args.command in ("bilateral", "volrend"):
+        return _cmd_cell(args)
     if args.command == "render":
         return _cmd_render(args)
     if args.command == "analyze":

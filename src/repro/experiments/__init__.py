@@ -1,7 +1,7 @@
 """Per-figure experiment harnesses (see DESIGN.md experiment index)."""
 
 from ..resilience import CheckpointStore, RetryPolicy
-from .bilateral_study import bilateral_ds_figure, figure2, figure3
+from .bilateral_study import figure2, figure3
 from .config import (
     IVYBRIDGE_CONCURRENCIES,
     MIC_CONCURRENCIES,
@@ -28,8 +28,15 @@ from .parallel import (
     run_cells_parallel,
 )
 from .report import DsFigure, SeriesFigure, render_ds_figure, render_series_figure
-from .sweep import capacity_sweep, compare_layouts, rows_to_csv, sweep_cells
-from .volrend_study import figure4, figure5, figure6, volrend_ds_figure
+from .sweep import (
+    capacity_sweep,
+    compare_layouts,
+    ds_figure,
+    rows_to_csv,
+    run_layout_pairs,
+    sweep_cells,
+)
+from .volrend_study import figure4, figure5, figure6
 
 __all__ = [
     "IVYBRIDGE_CONCURRENCIES",
@@ -45,12 +52,12 @@ __all__ = [
     "PreparedCell",
     "SeriesFigure",
     "VolrendCell",
-    "bilateral_ds_figure",
     "capacity_sweep",
     "clear_caches",
     "compare_layouts",
     "default_ivybridge",
     "default_mic",
+    "ds_figure",
     "figure2",
     "figure3",
     "figure4",
@@ -65,7 +72,7 @@ __all__ = [
     "simulate_prepared",
     "run_cell",
     "run_cells_parallel",
+    "run_layout_pairs",
     "sweep_cells",
     "run_volrend_cell",
-    "volrend_ds_figure",
 ]

@@ -7,19 +7,15 @@ PAPI_L3_TCA, Z-order vs array-order.
 
 Figure 3 (MIC): the same rows over thread counts {59, 118, 177, 236}
 with L2_DATA_READ_MISS_MEM_FILL as the counter.
+
+The defaults are the committed settings: ``figure2()`` and ``figure3()``
+regenerate ``results/fig2_*.txt`` and ``results/fig3_*.txt``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
-import numpy as np
-
-from ..instrument.metrics import scaled_relative_difference
-from ..memsim.hierarchy import PlatformSpec
-from ..resilience.checkpoint import CheckpointStore
-from ..resilience.policy import RetryPolicy
 from .config import (
     IVYBRIDGE_CONCURRENCIES,
     MIC_CONCURRENCIES,
@@ -28,68 +24,17 @@ from .config import (
     default_ivybridge,
     default_mic,
 )
-from .parallel import run_cells_parallel
 from .report import DsFigure
+from .sweep import ds_figure
 
-__all__ = ["figure2", "figure3", "bilateral_ds_figure"]
+__all__ = ["figure2", "figure3"]
 
 
-def bilateral_ds_figure(
-    platform: PlatformSpec,
-    counter_name: str,
-    concurrencies: Sequence[int],
-    rows: Sequence[Tuple[str, str, str]] = PAPER_BILATERAL_ROWS,
-    title: str = "Bilateral 3D: scaled relative difference, Z- vs A-order",
-    base_cell: Optional[BilateralCell] = None,
-    layouts: Tuple[str, str] = ("array", "morton"),
-    workers: Optional[int] = 1,
-    timeout: Optional[float] = None,
-    retry: Optional[RetryPolicy] = None,
-    checkpoint: Union[CheckpointStore, str, None] = None,
-    resume: bool = False,
-) -> DsFigure:
-    """Run a full bilateral d_s matrix for any platform/counter pair.
-
-    ``layouts`` is the (a, z) pair of Eq. 4 — swap in "hilbert" or
-    "tiled" for the ablations.  ``workers`` fans the matrix's
-    independent cells across processes; the figure is identical for any
-    worker count.
-    """
-    base = base_cell or BilateralCell(platform=platform)
-    base = replace(base, platform=platform)
-    row_labels = [f"{st} {pe} {so}" for st, pe, so in rows]
-    runtime_ds = np.zeros((len(rows), len(concurrencies)))
-    counter_ds = np.zeros_like(runtime_ds)
-    raw = {}
-    a_name, z_name = layouts
-    cells = []
-    for stencil, pencil, order in rows:
-        for n_threads in concurrencies:
-            cell = replace(base, stencil=stencil, pencil=pencil,
-                           stencil_order=order, n_threads=n_threads)
-            cells.append(cell.with_layout(a_name))
-            cells.append(cell.with_layout(z_name))
-    results = run_cells_parallel(cells, workers=workers, timeout=timeout,
-                                 retry=retry, checkpoint=checkpoint,
-                                 resume=resume)
-    for r in range(len(rows)):
-        for c, n_threads in enumerate(concurrencies):
-            i = 2 * (r * len(concurrencies) + c)
-            res_a, res_z = results[i], results[i + 1]
-            runtime_ds[r, c] = scaled_relative_difference(
-                res_a.runtime_seconds, res_z.runtime_seconds)
-            counter_ds[r, c] = scaled_relative_difference(
-                res_a.counters[counter_name], res_z.counters[counter_name])
-            raw[(row_labels[r], n_threads)] = {"a": res_a, "z": res_z}
-    return DsFigure(
-        title=title,
-        counter_name=counter_name,
-        row_labels=row_labels,
-        col_labels=list(concurrencies),
-        runtime_ds=runtime_ds,
-        counter_ds=counter_ds,
-        raw=raw,
-    )
+def _labelled(rows: Sequence[Tuple[str, str, str]]):
+    """``ds_figure`` rows for (stencil, pencil, order) triples."""
+    return [(f"{stencil} {pencil} {order}",
+             {"stencil": stencil, "pencil": pencil, "stencil_order": order})
+            for stencil, pencil, order in rows]
 
 
 def figure2(shape: Tuple[int, int, int] = (64, 64, 64),
@@ -97,27 +42,22 @@ def figure2(shape: Tuple[int, int, int] = (64, 64, 64),
             concurrencies: Sequence[int] = IVYBRIDGE_CONCURRENCIES,
             rows: Sequence[Tuple[str, str, str]] = PAPER_BILATERAL_ROWS,
             pencils_per_thread: int = 2,
-            workers: Optional[int] = 1,
-            **resilience) -> DsFigure:
+            **run) -> DsFigure:
     """Reproduce Figure 2: Bilateral 3D on Ivy Bridge, runtime + L3 TCA.
 
-    ``resilience`` kwargs (``timeout``, ``retry``, ``checkpoint``,
-    ``resume``) forward to :func:`bilateral_ds_figure`.
+    ``run`` (``workers`` and the resilience options ``timeout``,
+    ``retry``, ``checkpoint``, ``resume``, ``govern``) forwards to
+    :func:`~repro.experiments.sweep.ds_figure`.
     """
-    platform = default_ivybridge(scale)
     base = BilateralCell(
-        platform=platform,
+        platform=default_ivybridge(scale),
         shape=shape,
         affinity="compact",
         pencils_per_thread=pencils_per_thread,
     )
-    return bilateral_ds_figure(
-        platform, "PAPI_L3_TCA", concurrencies, rows,
-        title=f"Fig 2 | Bilat3d, {shape[0]}^3, IvyBridge: Z- vs A-order",
-        base_cell=base,
-        workers=workers,
-        **resilience,
-    )
+    return ds_figure(
+        base, _labelled(rows), concurrencies, "PAPI_L3_TCA",
+        f"Fig 2 | Bilat3d, {shape[0]}^3, IvyBridge: Z- vs A-order", **run)
 
 
 def figure3(shape: Tuple[int, int, int] = (64, 64, 64),
@@ -126,27 +66,22 @@ def figure3(shape: Tuple[int, int, int] = (64, 64, 64),
             rows: Sequence[Tuple[str, str, str]] = PAPER_BILATERAL_ROWS,
             pencils_per_thread: int = 2,
             sample_cores: int = 8,
-            workers: Optional[int] = 1,
-            **resilience) -> DsFigure:
+            **run) -> DsFigure:
     """Reproduce Figure 3: Bilateral 3D on MIC, runtime + L2 read miss.
 
     Threads spread 1–4 per core over 59 usable cores (the paper reserves
     one core for the OS); only ``sample_cores`` cores are simulated —
-    exact for this platform since no cache spans cores.
+    exact for this platform since no cache spans cores.  ``run`` as in
+    :func:`figure2`.
     """
-    platform = default_mic(scale)
     base = BilateralCell(
-        platform=platform,
+        platform=default_mic(scale),
         shape=shape,
         affinity="balanced",
         usable_cores=59,
         pencils_per_thread=pencils_per_thread,
         sample_cores=sample_cores,
     )
-    return bilateral_ds_figure(
-        platform, "L2_DATA_READ_MISS_MEM_FILL", concurrencies, rows,
-        title=f"Fig 3 | Bilat3d, {shape[0]}^3, MIC: Z- vs A-order",
-        base_cell=base,
-        workers=workers,
-        **resilience,
-    )
+    return ds_figure(
+        base, _labelled(rows), concurrencies, "L2_DATA_READ_MISS_MEM_FILL",
+        f"Fig 3 | Bilat3d, {shape[0]}^3, MIC: Z- vs A-order", **run)

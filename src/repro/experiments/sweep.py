@@ -1,10 +1,11 @@
 """Generic cell sweeps: grid a cell's parameters, collect rows, export CSV.
 
-The figure drivers cover the paper's exact matrices; this module is the
-open-ended version for users: take any :class:`BilateralCell` or
-:class:`VolrendCell`, name the fields to vary, and get back flat result
-rows (optionally as layout-comparison rows carrying the paper's d_s) —
-ready for CSV export and whatever plotting tool sits downstream.
+Take any :class:`BilateralCell` or :class:`VolrendCell`, name the fields
+to vary, and get back flat result rows (optionally as layout-comparison
+rows carrying the paper's d_s) — ready for CSV export and whatever
+plotting tool sits downstream.  Every layout comparison, here and in the
+figure drivers, runs through :func:`run_layout_pairs`; the paper's d_s
+matrices are :func:`ds_figure` over the figure's rows.
 
 Long sweeps are where resilience matters most, so :func:`sweep_cells`
 forwards the checkpoint/retry/timeout knobs of
@@ -23,6 +24,8 @@ import traceback
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from ..instrument.metrics import scaled_relative_difference
 from ..memsim.hierarchy import PlatformSpec
 from ..memsim.stackdist import HistogramStore, fully_associative_spec, prices_by_histogram
@@ -32,8 +35,10 @@ from ..resilience.policy import RetryPolicy
 from .config import BilateralCell, VolrendCell
 from .harness import Cell, CellResult, prepare_cell, run_cell
 from .parallel import CellFailure, CellRunError, run_cells_parallel
+from .report import DsFigure
 
-__all__ = ["capacity_sweep", "sweep_cells", "compare_layouts", "rows_to_csv"]
+__all__ = ["capacity_sweep", "sweep_cells", "compare_layouts", "ds_figure",
+           "rows_to_csv", "run_layout_pairs"]
 
 
 def _check_cell(cell: Cell) -> None:
@@ -248,44 +253,81 @@ def capacity_sweep(base: Cell, capacities: Sequence[int],
     return rows
 
 
+def run_layout_pairs(cells: Sequence[Cell],
+                     layouts: Tuple[str, str] = ("array", "morton"),
+                     **run) -> List[Tuple[CellResult, CellResult]]:
+    """Run every cell under both ``layouts``: one ``(a, z)`` pair per cell.
+
+    ``layouts`` is the (a, z) pair of Eq. 4.  The cells run as one
+    :func:`~repro.experiments.parallel.run_cells_parallel` batch,
+    cell-major and layout-minor, so each cell's layout twin follows it
+    (the harness re-addresses the first one's traversal) and checkpoint
+    keys and trace ``cell`` indices follow the cells' order.  ``run``
+    (``workers``, ``timeout``, ``retry``, ``checkpoint``, ``resume``,
+    ``govern``) forwards to ``run_cells_parallel`` unchanged.
+    """
+    batch = [cell.with_layout(name) for cell in cells for name in layouts]
+    results = run_cells_parallel(batch, **run)
+    return list(zip(results[0::2], results[1::2]))
+
+
+def ds_figure(base: Cell, rows: Sequence[Tuple[str, Dict[str, object]]],
+              concurrencies: Sequence[int], counter_name: str, title: str,
+              **run) -> DsFigure:
+    """Eq. 4's d_s matrices over ``rows`` × ``concurrencies``.
+
+    Each row is a ``(label, fields)`` pair: its cell at concurrency ``n``
+    is ``base`` with ``fields`` and ``n_threads=n``.  ``run`` forwards to
+    :func:`run_layout_pairs` (``layouts``, ``workers`` and the
+    resilience options); the figure is identical for any worker count.
+    """
+    cells = [replace(base, n_threads=n, **fields)
+             for _, fields in rows for n in concurrencies]
+    labels = [label for label, _ in rows]
+    runtime_ds = np.zeros((len(rows), len(concurrencies)))
+    counter_ds = np.zeros_like(runtime_ds)
+    raw = {}
+    for i, (res_a, res_z) in enumerate(run_layout_pairs(cells, **run)):
+        r, c = divmod(i, len(concurrencies))
+        runtime_ds[r, c] = scaled_relative_difference(
+            res_a.runtime_seconds, res_z.runtime_seconds)
+        counter_ds[r, c] = scaled_relative_difference(
+            res_a.counters[counter_name], res_z.counters[counter_name])
+        raw[(labels[r], concurrencies[c])] = {"a": res_a, "z": res_z}
+    return DsFigure(title=title, counter_name=counter_name,
+                    row_labels=labels, col_labels=list(concurrencies),
+                    runtime_ds=runtime_ds, counter_ds=counter_ds, raw=raw)
+
+
 def compare_layouts(base: Cell, axes: Dict[str, Sequence],
                     layouts: Tuple[str, str] = ("array", "morton"),
                     counters: Optional[Sequence[str]] = None,
-                    workers: Optional[int] = 1,
-                    *,
-                    timeout: Optional[float] = None,
-                    retry: Optional[RetryPolicy] = None,
-                    checkpoint: Union[CheckpointStore, str, None] = None,
-                    resume: bool = False) -> List[Dict[str, object]]:
+                    **run) -> List[Dict[str, object]]:
     """Layout-pair sweep: each row carries both measurements and d_s.
 
     Column naming: ``runtime_<layout>`` / ``<counter>_<layout>`` for the
-    raw values, ``ds_runtime`` / ``ds_<counter>`` for Eq. 4.
-    ``workers`` parallelizes over (combination × layout) cells; the
-    resilience knobs forward to :func:`run_cells_parallel`.
+    raw values, ``ds_runtime`` / ``ds_<counter>`` for Eq. 4.  ``run``
+    (``workers`` and the resilience options) forwards to
+    :func:`run_layout_pairs`.
     """
     _check_cell(base)
+    if "layout" in axes:
+        raise ValueError("compare_layouts runs both layouts itself; "
+                         "drop the 'layout' axis")
     a_name, z_name = layouts
     points = _grid(axes)
-    cells = [replace(base, layout=name, **point)
-             for point in points for name in layouts]
-    results = run_cells_parallel(cells, workers=workers, timeout=timeout,
-                                 retry=retry, checkpoint=checkpoint,
-                                 resume=resume)
+    pairs = run_layout_pairs([replace(base, **point) for point in points],
+                             layouts, **run)
     rows = []
-    for pi, point in enumerate(points):
-        res = {name: results[pi * len(layouts) + li]
-               for li, name in enumerate(layouts)}
+    for point, (res_a, res_z) in zip(points, pairs):
         row: Dict[str, object] = dict(point)
-        row[f"runtime_{a_name}"] = res[a_name].runtime_seconds
-        row[f"runtime_{z_name}"] = res[z_name].runtime_seconds
+        row[f"runtime_{a_name}"] = res_a.runtime_seconds
+        row[f"runtime_{z_name}"] = res_z.runtime_seconds
         row["ds_runtime"] = scaled_relative_difference(
-            res[a_name].runtime_seconds, res[z_name].runtime_seconds)
-        names = counters if counters is not None else sorted(
-            res[a_name].counters)
+            res_a.runtime_seconds, res_z.runtime_seconds)
+        names = counters if counters is not None else sorted(res_a.counters)
         for name in names:
-            a_val = res[a_name].counters[name]
-            z_val = res[z_name].counters[name]
+            a_val, z_val = res_a.counters[name], res_z.counters[name]
             row[f"{name}_{a_name}"] = a_val
             row[f"{name}_{z_name}"] = z_val
             row[f"ds_{name}"] = (

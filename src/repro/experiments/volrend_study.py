@@ -10,19 +10,17 @@ thread counts {2 … 24}.
 
 Figure 6 (MIC): the same over {59, 118, 177, 236} threads with
 L2_DATA_READ_MISS_MEM_FILL.
+
+The defaults are the committed settings: ``figure4()`` … ``figure6()``
+regenerate ``results/fig4_*.txt`` … ``results/fig6_*.txt``.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional, Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..instrument.metrics import scaled_relative_difference
-from ..memsim.hierarchy import PlatformSpec
-from ..resilience.checkpoint import CheckpointStore
-from ..resilience.policy import RetryPolicy
 from .config import (
     IVYBRIDGE_CONCURRENCIES,
     MIC_CONCURRENCIES,
@@ -30,65 +28,10 @@ from .config import (
     default_ivybridge,
     default_mic,
 )
-from .parallel import run_cells_parallel
 from .report import DsFigure, SeriesFigure
+from .sweep import ds_figure, run_layout_pairs
 
-__all__ = ["figure4", "figure5", "figure6", "volrend_ds_figure"]
-
-
-def volrend_ds_figure(
-    platform: PlatformSpec,
-    counter_name: str,
-    concurrencies: Sequence[int],
-    viewpoints: Sequence[int] = tuple(range(8)),
-    title: str = "Volrend: scaled relative difference, Z- vs A-order",
-    base_cell: Optional[VolrendCell] = None,
-    layouts: Tuple[str, str] = ("array", "morton"),
-    workers: Optional[int] = 1,
-    timeout: Optional[float] = None,
-    retry: Optional[RetryPolicy] = None,
-    checkpoint: Union[CheckpointStore, str, None] = None,
-    resume: bool = False,
-) -> DsFigure:
-    """Run a full volrend d_s matrix (rows = viewpoints).
-
-    ``workers`` fans the matrix's independent cells across processes;
-    the figure is identical for any worker count.
-    """
-    base = base_cell or VolrendCell(platform=platform)
-    base = replace(base, platform=platform)
-    row_labels = [str(v) for v in viewpoints]
-    runtime_ds = np.zeros((len(viewpoints), len(concurrencies)))
-    counter_ds = np.zeros_like(runtime_ds)
-    raw = {}
-    a_name, z_name = layouts
-    cells = []
-    for viewpoint in viewpoints:
-        for n_threads in concurrencies:
-            cell = replace(base, viewpoint=viewpoint, n_threads=n_threads)
-            cells.append(cell.with_layout(a_name))
-            cells.append(cell.with_layout(z_name))
-    results = run_cells_parallel(cells, workers=workers, timeout=timeout,
-                                 retry=retry, checkpoint=checkpoint,
-                                 resume=resume)
-    for r in range(len(viewpoints)):
-        for c, n_threads in enumerate(concurrencies):
-            i = 2 * (r * len(concurrencies) + c)
-            res_a, res_z = results[i], results[i + 1]
-            runtime_ds[r, c] = scaled_relative_difference(
-                res_a.runtime_seconds, res_z.runtime_seconds)
-            counter_ds[r, c] = scaled_relative_difference(
-                res_a.counters[counter_name], res_z.counters[counter_name])
-            raw[(row_labels[r], n_threads)] = {"a": res_a, "z": res_z}
-    return DsFigure(
-        title=title,
-        counter_name=counter_name,
-        row_labels=row_labels,
-        col_labels=list(concurrencies),
-        runtime_ds=runtime_ds,
-        counter_ds=counter_ds,
-        raw=raw,
-    )
+__all__ = ["figure4", "figure5", "figure6"]
 
 
 def figure4(shape: Tuple[int, int, int] = (64, 64, 64),
@@ -98,15 +41,14 @@ def figure4(shape: Tuple[int, int, int] = (64, 64, 64),
             viewpoints: Sequence[int] = tuple(range(8)),
             tiles_per_thread: int = 1,
             ray_step: int = 2,
-            workers: Optional[int] = 1,
-            timeout: Optional[float] = None,
-            retry: Optional[RetryPolicy] = None,
-            checkpoint: Union[CheckpointStore, str, None] = None,
-            resume: bool = False) -> SeriesFigure:
-    """Reproduce Figure 4: absolute runtime & PAPI_L3_TCA vs viewpoint."""
-    platform = default_ivybridge(scale)
+            **run) -> SeriesFigure:
+    """Reproduce Figure 4: absolute runtime & PAPI_L3_TCA vs viewpoint.
+
+    ``run`` (``workers`` and the resilience options) forwards to
+    :func:`~repro.experiments.sweep.run_layout_pairs`.
+    """
     base = VolrendCell(
-        platform=platform,
+        platform=default_ivybridge(scale),
         shape=shape,
         n_threads=n_threads,
         image_size=image_size,
@@ -114,32 +56,25 @@ def figure4(shape: Tuple[int, int, int] = (64, 64, 64),
         tiles_per_thread=tiles_per_thread,
         ray_step=ray_step,
     )
-    cells = []
-    for viewpoint in viewpoints:
-        cell = base.with_viewpoint(viewpoint)
-        cells.append(cell.with_layout("array"))
-        cells.append(cell.with_layout("morton"))
-    results = run_cells_parallel(cells, workers=workers, timeout=timeout,
-                                 retry=retry, checkpoint=checkpoint,
-                                 resume=resume)
-    runtime_a, runtime_z, counter_a, counter_z = [], [], [], []
-    for v in range(len(viewpoints)):
-        res_a, res_z = results[2 * v], results[2 * v + 1]
-        runtime_a.append(res_a.runtime_seconds)
-        runtime_z.append(res_z.runtime_seconds)
-        counter_a.append(res_a.counters["PAPI_L3_TCA"])
-        counter_z.append(res_z.counters["PAPI_L3_TCA"])
+    pairs = run_layout_pairs([base.with_viewpoint(v) for v in viewpoints],
+                             **run)
+    counter = "PAPI_L3_TCA"
     return SeriesFigure(
         title=(f"Fig 4 | Volrend, {shape[0]}^3, IvyBridge, "
-               f"{n_threads} threads: absolute runtime & PAPI_L3_TCA"),
-        counter_name="PAPI_L3_TCA",
+               f"{n_threads} threads: absolute runtime & {counter}"),
+        counter_name=counter,
         x_label="viewpoint",
         x_values=list(viewpoints),
-        runtime_a=np.array(runtime_a),
-        runtime_z=np.array(runtime_z),
-        counter_a=np.array(counter_a),
-        counter_z=np.array(counter_z),
+        runtime_a=np.array([a.runtime_seconds for a, _ in pairs]),
+        runtime_z=np.array([z.runtime_seconds for _, z in pairs]),
+        counter_a=np.array([a.counters[counter] for a, _ in pairs]),
+        counter_z=np.array([z.counters[counter] for _, z in pairs]),
     )
+
+
+def _viewpoint_rows(viewpoints: Sequence[int]):
+    """``ds_figure`` rows for orbit viewpoints, labelled by number."""
+    return [(str(v), {"viewpoint": v}) for v in viewpoints]
 
 
 def figure5(shape: Tuple[int, int, int] = (64, 64, 64),
@@ -149,25 +84,23 @@ def figure5(shape: Tuple[int, int, int] = (64, 64, 64),
             image_size: int = 256,
             tiles_per_thread: int = 1,
             ray_step: int = 2,
-            workers: Optional[int] = 1,
-            **resilience) -> DsFigure:
-    """Reproduce Figure 5: Volrend on Ivy Bridge, d_s matrices."""
-    platform = default_ivybridge(scale)
+            **run) -> DsFigure:
+    """Reproduce Figure 5: Volrend on Ivy Bridge, d_s matrices.
+
+    ``run`` (``workers`` and the resilience options) forwards to
+    :func:`~repro.experiments.sweep.ds_figure`.
+    """
     base = VolrendCell(
-        platform=platform,
+        platform=default_ivybridge(scale),
         shape=shape,
         image_size=image_size,
         affinity="compact",
         tiles_per_thread=tiles_per_thread,
         ray_step=ray_step,
     )
-    return volrend_ds_figure(
-        platform, "PAPI_L3_TCA", concurrencies, viewpoints,
-        title=f"Fig 5 | Volrend, {shape[0]}^3, IvyBridge: Z- vs A-order",
-        base_cell=base,
-        workers=workers,
-        **resilience,
-    )
+    return ds_figure(
+        base, _viewpoint_rows(viewpoints), concurrencies, "PAPI_L3_TCA",
+        f"Fig 5 | Volrend, {shape[0]}^3, IvyBridge: Z- vs A-order", **run)
 
 
 def figure6(shape: Tuple[int, int, int] = (64, 64, 64),
@@ -176,18 +109,17 @@ def figure6(shape: Tuple[int, int, int] = (64, 64, 64),
             viewpoints: Sequence[int] = tuple(range(8)),
             image_size: int = 512,
             tiles_per_thread: int = 1,
-            ray_step: int = 4,
+            ray_step: int = 2,
             sample_cores: int = 8,
-            workers: Optional[int] = 1,
-            **resilience) -> DsFigure:
+            **run) -> DsFigure:
     """Reproduce Figure 6: Volrend on MIC, d_s matrices.
 
     The image is 512² so the tile pool (256 tiles) exceeds the largest
-    thread count (236), as a worker-pool renderer requires.
+    thread count (236), as a worker-pool renderer requires.  ``run`` as
+    in :func:`figure5`.
     """
-    platform = default_mic(scale)
     base = VolrendCell(
-        platform=platform,
+        platform=default_mic(scale),
         shape=shape,
         image_size=image_size,
         affinity="balanced",
@@ -196,10 +128,7 @@ def figure6(shape: Tuple[int, int, int] = (64, 64, 64),
         ray_step=ray_step,
         sample_cores=sample_cores,
     )
-    return volrend_ds_figure(
-        platform, "L2_DATA_READ_MISS_MEM_FILL", concurrencies, viewpoints,
-        title=f"Fig 6 | Volrend, {shape[0]}^3, MIC: Z- vs A-order",
-        base_cell=base,
-        workers=workers,
-        **resilience,
-    )
+    return ds_figure(
+        base, _viewpoint_rows(viewpoints), concurrencies,
+        "L2_DATA_READ_MISS_MEM_FILL",
+        f"Fig 6 | Volrend, {shape[0]}^3, MIC: Z- vs A-order", **run)

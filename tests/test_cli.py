@@ -83,6 +83,11 @@ class TestCommands:
         assert "viewpoint" in out
         assert os.path.exists(tmp_path / "fig4_volrend_viewpoints.txt")
 
+    @pytest.mark.parametrize("which", ["2", "3", "4", "5", "6"])
+    def test_figure_accepts_govern(self, which, capsys):
+        # `figure` takes the shared resilience flags, --govern included
+        assert main(["figure", which, "--shape", "16", "--govern"]) == 0
+
     def test_render(self, capsys, tmp_path):
         out_path = str(tmp_path / "frame.ppm")
         rc = main(["render", "--shape", "16", "--image", "24",

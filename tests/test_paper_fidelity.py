@@ -6,6 +6,8 @@ silently drift the reproduction away from the paper's configuration.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.experiments import (
@@ -14,6 +16,8 @@ from repro.experiments import (
     PAPER_BILATERAL_ROWS,
     BilateralCell,
     VolrendCell,
+    figure6,
+    render_ds_figure,
 )
 from repro.kernels import STENCIL_LABELS, BilateralSpec, orbit_camera
 from repro.memsim import BABBAGE_MIC, EDISON_IVYBRIDGE
@@ -106,3 +110,11 @@ class TestEquationFour:
         assert ds(1.1, 1.0) == pytest.approx(0.1)
         assert ds(2.0, 1.0) == pytest.approx(1.0)
         assert ds(11.0, 1.0) == pytest.approx(10.0)
+
+
+class TestCommittedSettings:
+    def test_figure6_defaults_regenerate_the_committed_table(self):
+        """The drivers' defaults are the settings the committed tables
+        were made at, so `repro figure 6` reproduces results/ as is."""
+        committed = Path(__file__).parents[1] / "results" / "fig6_volrend_mic.txt"
+        assert render_ds_figure(figure6()) + "\n" == committed.read_text()
